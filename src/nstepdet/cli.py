@@ -163,6 +163,13 @@ def _record_dict(case: dict, lhs: int, rhs: int, passed: bool) -> dict:
     return {"case": case, "lhs": str(lhs), "rhs": str(rhs), "pass": passed}
 
 
+def _check_trials_bound(args: argparse.Namespace) -> None:
+    if args.trials < 1:
+        raise UsageError(f"--trials must be >= 1, got {args.trials}")
+    if args.bound < 0:
+        raise UsageError(f"--bound must be >= 0, got {args.bound}")
+
+
 def _report_exit(records: list[dict]) -> int:
     return EXIT_OK if all(rec["pass"] for rec in records) else EXIT_FAIL
 
@@ -256,6 +263,7 @@ def _verify_sweep(kind: str, args: argparse.Namespace, conventions,
 
 def cmd_verify(args: argparse.Namespace) -> int:
     started = time.perf_counter()
+    _check_trials_bound(args)
     kinds = list(_VERIFY_KINDS) if args.kind == "all" else [args.kind]
     if args.convention == "both":
         conventions = (CLASSIC, PAPER_POWERS)
@@ -270,6 +278,8 @@ def cmd_verify(args: argparse.Namespace) -> int:
     records: list[dict] = []
     for kind in kinds:
         records.extend(_verify_sweep(kind, args, conventions, rng, base_matrix))
+    if not records:
+        raise UsageError("the sweep produced no records, so nothing was checked")
     elapsed_ms = (time.perf_counter() - started) * 1000.0
     params = {
         "kind": args.kind,
@@ -295,10 +305,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
 def cmd_prop1(args: argparse.Namespace) -> int:
     started = time.perf_counter()
-    if args.trials < 1:
-        raise UsageError(f"--trials must be >= 1, got {args.trials}")
-    if args.bound < 0:
-        raise UsageError(f"--bound must be >= 0, got {args.bound}")
+    _check_trials_bound(args)
     r_values = parse_range(args.r)
     base_matrix = parse_matrix(args.matrix) if args.matrix else None
     if base_matrix is not None:

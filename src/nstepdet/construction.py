@@ -213,7 +213,9 @@ def check_prop1(a: IntMatrix, r: int, deleted: Iterable[int]) -> Prop1Record:
     minor_value = det_bareiss(minor)
     sign = sign_from_deleted(n, r, sel.deleted)
     # The two sign formulas are equivalent; disagreement means a bug here.
-    assert sign == sign_from_kept(n, sel.kept[:-1])
+    if sign != sign_from_kept(n, sel.kept[:-1]):
+        raise ArithmeticError(
+            f"sign formulas disagree for n={n}, r={r}, deleted={list(sel.deleted)}")
     det_q = det_bareiss(build_Q(n, r, sel.deleted))
     det_a = det_bareiss(a)
     rhs = sign * det_q * det_a

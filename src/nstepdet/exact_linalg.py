@@ -66,7 +66,8 @@ class IntMatrix:
                 f"{self.rows}x{self.cols} matrix needs {self.rows * self.cols}"
                 f" entries, got {len(self.entries)}")
         for e in self.entries:
-            if not isinstance(e, int):
+            # Exact type: bool is an int subclass but not a matrix entry.
+            if type(e) is not int:
                 raise DimensionError(
                     f"entries must be ints, got {type(e).__name__}")
 
@@ -135,7 +136,8 @@ def det_bareiss(m: IntMatrix) -> int:
     """Exact determinant via fraction-free (Bareiss) elimination.
 
     Every intermediate value stays an integer and every division is exact;
-    a nonzero remainder would indicate a bug, so it is asserted away.
+    a nonzero remainder would indicate a bug, so it raises ArithmeticError
+    (an explicit check, so it also runs under ``python -O``).
     """
     _require_square(m, "det_bareiss")
     n = m.rows
@@ -158,7 +160,9 @@ def det_bareiss(m: IntMatrix) -> int:
             factor = row[k]
             for j in range(k + 1, n):
                 quot, rem = divmod(row[j] * pivot - factor * pivot_row[j], prev)
-                assert rem == 0, "inexact division in fraction-free elimination"
+                if rem:
+                    raise ArithmeticError(
+                        "inexact division in fraction-free elimination")
                 row[j] = quot
             row[k] = 0
         prev = pivot

@@ -166,6 +166,22 @@ class TestVerify:
         code, _, _ = run(capsys, "verify", "mystery", "--n", "2")
         assert code == EXIT_USAGE
 
+    def test_bad_trials_or_bound_is_usage_error(self, capsys):
+        code, out, _ = run(capsys, "verify", "gen-docagne", "--n", "2", "--r", "1",
+                           "--trials", "0")
+        assert code == EXIT_USAGE
+        assert out == ""
+        code, _, _ = run(capsys, "verify", "gen-docagne", "--n", "2", "--r", "1",
+                         "--bound", "-1")
+        assert code == EXIT_USAGE
+
+    def test_sweep_without_records_is_usage_error(self, capsys, monkeypatch):
+        monkeypatch.setattr("nstepdet.cli._verify_sweep", lambda *args: [])
+        code, out, err = run(capsys, "verify", "cassini", "--n", "2", "--r", "1")
+        assert code == EXIT_USAGE
+        assert out == ""
+        assert "nothing was checked" in err
+
     def test_csv_output(self, capsys):
         code, out, _ = run(capsys, "verify", "cassini", "--n", "2", "--r", "1",
                            "--format", "csv")

@@ -1,7 +1,13 @@
 import random
+import subprocess
+import sys
+import textwrap
 from itertools import combinations
+from pathlib import Path
 
 import pytest
+
+import nstepdet
 
 from nstepdet.exact_linalg import (
     DimensionError,
@@ -251,6 +257,28 @@ class TestCheckProp1:
                 rec_b = check_prop1(pair[1], r, deleted)
                 assert rec_a.minor_value * rec_b.det_a == \
                     rec_b.minor_value * rec_a.det_a
+
+    def test_sign_check_survives_optimize_flag(self):
+        # python -O strips assert statements; the sign cross-check must
+        # still raise when the two formulas disagree.
+        code = textwrap.dedent("""
+            import sys
+            import nstepdet.construction as construction
+            from nstepdet.exact_linalg import IntMatrix
+            if not sys.flags.optimize:
+                sys.exit(3)
+            construction.sign_from_kept = lambda n, kept: 0
+            try:
+                construction.check_prop1(
+                    IntMatrix.from_rows([[1, 2], [0, 1]]), 1, [1])
+            except ArithmeticError:
+                sys.exit(0)
+            sys.exit(1)
+        """)
+        src = str(Path(nstepdet.__file__).resolve().parents[1])
+        proc = subprocess.run([sys.executable, "-O", "-c", code],
+                              env={"PYTHONPATH": src}, timeout=60)
+        assert proc.returncode == 0
 
 
 class TestQFibDet:

@@ -53,6 +53,8 @@ class TestIntMatrix:
     def test_non_int_entries_rejected(self):
         with pytest.raises(DimensionError):
             IntMatrix(1, 2, (1, 2.5))
+        with pytest.raises(DimensionError):
+            IntMatrix.from_rows([[True, False], [False, True]])
 
     def test_entry_out_of_range(self):
         m = M([[1, 2], [3, 4]])

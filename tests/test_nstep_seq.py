@@ -1,4 +1,5 @@
 import pytest
+from hypothesis import given, strategies as st
 
 from nstepdet.exact_linalg import IntMatrix, RangeError
 from nstepdet.nstep_seq import (
@@ -14,6 +15,16 @@ from nstepdet.nstep_seq import (
 )
 
 ALL_CONVENTIONS = (CLASSIC, PAPER_POWERS)
+
+
+def _conventions(n):
+    seeds = st.lists(st.integers(-10**6, 10**6), min_size=n, max_size=n)
+    return st.one_of(st.sampled_from(ALL_CONVENTIONS), seeds.map(custom))
+
+
+# (n, convention) for n in 2..8: both named conventions and random seeds.
+SEQUENCES = st.integers(2, 8).flatmap(
+    lambda n: st.tuples(st.just(n), _conventions(n)))
 
 
 class TestSeeds:
@@ -157,3 +168,19 @@ class TestTermFast:
             term_fast(2, CLASSIC, 0)
         with pytest.raises(DomainError):
             term_fast(2, CLASSIC, -5)
+
+
+class TestEngineProperties:
+    @given(seq=SEQUENCES, k=st.integers(1, 3000))
+    def test_term_fast_matches_term(self, seq, k):
+        n, conv = seq
+        assert term_fast(n, conv, k) == term(n, conv, k)
+
+    @given(seq=SEQUENCES, offset=st.integers(1, 3000), length=st.integers(1, 20))
+    def test_terms_range_past_seed_block_matches_term(self, seq, offset, length):
+        # lo > n: the range starts with the polynomial jump, not a walk.
+        n, conv = seq
+        lo = n + offset
+        hi = lo + length - 1
+        assert terms_range(n, conv, lo, hi) == [
+            term(n, conv, k) for k in range(lo, hi + 1)]
