@@ -30,6 +30,7 @@ from .construction import (
     build_P,
     build_Q,
     check_prop1,
+    check_prop1_all,
     extend_columns,
     minor_by_deletion,
     q_fib_det,

@@ -16,13 +16,13 @@ import io
 import json
 import sys
 import time
-from itertools import combinations
+from math import comb
 from random import Random
 
 from . import __version__
 from .exact_linalg import IntMatrix, det_bareiss, det_laplace, parse_matrix
 from .nstep_seq import CLASSIC, PAPER_POWERS, term, term_fast, terms_range
-from .construction import check_prop1
+from .construction import check_prop1, check_prop1_all
 from .identities import (
     case_to_dict,
     generalized_docagne,
@@ -40,6 +40,10 @@ _CONVENTIONS = {"classic": CLASSIC, "paper": PAPER_POWERS}
 
 # Canonical sweep order for `verify all` (alphabetical).
 _VERIFY_KINDS = ("cassini", "catalan", "docagne", "gen-docagne", "vajda")
+
+# Most records one `prop1` run may ask for: trials x C(n+r-1, r) summed
+# over the (n, r) grid. Larger grids would take hours and gigabytes.
+PROP1_MAX_RECORDS = 10**6
 
 
 class UsageError(Exception):
@@ -170,6 +174,11 @@ def _check_trials_bound(args: argparse.Namespace) -> None:
         raise UsageError(f"--bound must be >= 0, got {args.bound}")
 
 
+def _require_records(records: list[dict]) -> None:
+    if not records:
+        raise UsageError("the sweep produced no records, so nothing was checked")
+
+
 def _report_exit(records: list[dict]) -> int:
     return EXIT_OK if all(rec["pass"] for rec in records) else EXIT_FAIL
 
@@ -278,8 +287,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
     records: list[dict] = []
     for kind in kinds:
         records.extend(_verify_sweep(kind, args, conventions, rng, base_matrix))
-    if not records:
-        raise UsageError("the sweep produced no records, so nothing was checked")
+    _require_records(records)
     elapsed_ms = (time.perf_counter() - started) * 1000.0
     params = {
         "kind": args.kind,
@@ -316,17 +324,36 @@ def cmd_prop1(args: argparse.Namespace) -> int:
     else:
         n_values = parse_range(args.n)
         trials = args.trials
+    if n_values[0] < 2:
+        raise UsageError(f"order n must be >= 2, got {n_values[0]}")
+    if r_values[0] < 1:
+        raise UsageError(f"extension length r must be >= 1, got {r_values[0]}")
+    due = 0
+    for n in n_values:
+        for r in r_values:
+            due += trials * comb(n + r - 1, r)
+            if due > PROP1_MAX_RECORDS:
+                raise UsageError(
+                    f"the grid asks for more than {PROP1_MAX_RECORDS} records;"
+                    " narrow --n, --r or --trials")
     rng = Random(args.seed)
     records: list[dict] = []
     for n in n_values:
         for r in r_values:
-            for trial in range(1, trials + 1):
-                a = base_matrix if base_matrix is not None else random_matrix(
-                    rng, n, args.bound)
-                for deleted in combinations(range(1, n + r), r):
-                    rec = check_prop1(a, r, deleted)
+            mats = [base_matrix] if base_matrix is not None else [
+                random_matrix(rng, n, args.bound) for _ in range(trials)]
+            for trial, (a, batch) in enumerate(
+                    zip(mats, check_prop1_all(mats, r)), start=1):
+                # Recheck one deletion per matrix on the per-deletion
+                # reference path, cycling through the deletions by trial.
+                expected = batch[(trial - 1) % len(batch)]
+                if check_prop1(a, r, expected.deleted) != expected:
+                    raise ArithmeticError(
+                        f"batch and per-deletion prop1 disagree for n={n},"
+                        f" r={r}, trial={trial}, deleted={list(expected.deleted)}")
+                for rec in batch:
                     case = {"kind": "prop1", "n": n, "r": r, "trial": trial,
-                            "deleted": list(deleted)}
+                            "deleted": list(rec.deleted)}
                     records.append(_record_dict(
                         case, rec.minor_value, rec.rhs, rec.passed))
     elapsed_ms = (time.perf_counter() - started) * 1000.0
@@ -367,6 +394,7 @@ def cmd_bench(args: argparse.Namespace) -> int:
                     "convention": args.convention}
             records.append(_record_dict(case, fast, slow, fast == slow))
     else:  # bareiss-vs-laplace
+        _check_trials_bound(args)
         rng = Random(args.seed)
         for order in parse_sizes(args.order):
             if not 1 <= order <= 8:
@@ -388,6 +416,7 @@ def cmd_bench(args: argparse.Namespace) -> int:
                 records.append(_record_dict(case, db, dl, db == dl))
             timings[f"bareiss[order={order}]"] = bareiss_ms
             timings[f"laplace[order={order}]"] = laplace_ms
+    _require_records(records)
     timings["total"] = (time.perf_counter() - started) * 1000.0
     params = {
         "task": args.task,

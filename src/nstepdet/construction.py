@@ -1,6 +1,6 @@
 """Banded sign matrix, recursive column extensions, and signed minors.
 
-Three builders and a checker make up the machinery:
+Three builders and two checkers make up the machinery:
 
 * ``build_P``           -- the (n+r-1) x r banded matrix whose column j holds
                            ones in rows j..j+n-1 and a single -1 in row j+n.
@@ -12,6 +12,15 @@ Three builders and a checker make up the machinery:
                            determinant equals a sign, times the determinant
                            of the band submatrix in the deleted rows, times
                            the determinant of the original matrix.
+* ``check_prop1_all``   -- the same rule for every deletion and a batch of
+                           matrices of one order. Per-matrix work (the
+                           extension, det of the matrix) is done once per
+                           matrix, and P, the signs and each band
+                           determinant once per batch; each minor is still
+                           evaluated by its own Bareiss elimination. The
+                           per-deletion ``check_prop1`` stays the reference
+                           it is tested against, and the CLI rechecks one
+                           deletion per matrix through it.
 
 ``q_fib_det`` evaluates the band submatrix in rows n..n+r-1; over r these
 determinants are exactly the n-step Fibonacci numbers with power seeding.
@@ -20,6 +29,8 @@ determinants are exactly the n-step Fibonacci numbers with power seeding.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain, combinations
+from operator import itemgetter
 from typing import Iterable
 
 from .exact_linalg import (
@@ -41,6 +52,7 @@ __all__ = [
     "sign_from_deleted",
     "sign_from_kept",
     "check_prop1",
+    "check_prop1_all",
     "q_fib_det",
 ]
 
@@ -197,6 +209,18 @@ def sign_from_kept(n: int, kept: Iterable[int]) -> int:
     return 1 if exponent % 2 == 0 else -1
 
 
+def _checked_sign(sel: MinorSelection) -> int:
+    """The minor's sign from the deleted indices, cross-checked against the
+    kept ones. The two formulas are equivalent; disagreement means a bug
+    here, so it raises (explicitly, so the check survives ``python -O``)."""
+    sign = sign_from_deleted(sel.n, sel.r, sel.deleted)
+    if sign != sign_from_kept(sel.n, sel.kept[:-1]):
+        raise ArithmeticError(
+            f"sign formulas disagree for n={sel.n}, r={sel.r},"
+            f" deleted={list(sel.deleted)}")
+    return sign
+
+
 def check_prop1(a: IntMatrix, r: int, deleted: Iterable[int]) -> Prop1Record:
     """Evaluate both sides of the signed-minor product rule for one deletion.
 
@@ -211,17 +235,61 @@ def check_prop1(a: IntMatrix, r: int, deleted: Iterable[int]) -> Prop1Record:
     sel = minor_selection(n, r, deleted)
     minor = minor_by_deletion(extend_columns(a, r), sel.deleted)
     minor_value = det_bareiss(minor)
-    sign = sign_from_deleted(n, r, sel.deleted)
-    # The two sign formulas are equivalent; disagreement means a bug here.
-    if sign != sign_from_kept(n, sel.kept[:-1]):
-        raise ArithmeticError(
-            f"sign formulas disagree for n={n}, r={r}, deleted={list(sel.deleted)}")
+    sign = _checked_sign(sel)
     det_q = det_bareiss(build_Q(n, r, sel.deleted))
     det_a = det_bareiss(a)
     rhs = sign * det_q * det_a
     return Prop1Record(
         n, r, sel.deleted, minor_value, sign, det_q, det_a, rhs,
         minor_value == rhs)
+
+
+def check_prop1_all(mats: Iterable[IntMatrix], r: int) -> list[list[Prop1Record]]:
+    """``check_prop1`` for every deletion, for each of a batch of matrices.
+
+    The matrices must be square and share one order n. Entry i of the
+    result equals ``[check_prop1(mats[i], r, d) for d in
+    combinations(range(1, n + r), r)]``. Work that does not depend on the
+    deletion is done once: each matrix is extended and its determinant
+    taken once, and P, the signs and every det Q once for the whole batch
+    (det Q does not depend on the matrix). Each minor is still assembled
+    from the extension's columns and evaluated by its own Bareiss
+    elimination, never derived from the rule it checks.
+    """
+    mats = list(mats)
+    if not mats:
+        return []
+    n = mats[0].rows
+    for a in mats:
+        if not a.is_square or a.rows != n:
+            raise DimensionError(
+                f"check_prop1_all needs square matrices of order {n},"
+                f" got {a.rows}x{a.cols}")
+    p_rows = build_P(n, r).to_rows()
+    # (deleted, picker of a row's kept entries, sign, det Q) per deletion.
+    cell = []
+    for deleted in combinations(range(1, n + r), r):
+        sel = minor_selection(n, r, deleted)
+        q = IntMatrix._trusted(
+            r, r, tuple(e for i in sel.deleted for e in p_rows[i - 1]))
+        cell.append((sel.deleted, itemgetter(*(k - 1 for k in sel.kept)),
+                     _checked_sign(sel), det_bareiss(q)))
+    batch = []
+    for a in mats:
+        ext_rows = extend_columns(a, r).to_rows()
+        det_a = det_bareiss(a)
+        records = []
+        for deleted, pick, sign, det_q in cell:
+            # n >= 2 kept columns, so ``pick`` returns a tuple per row.
+            minor = IntMatrix._trusted(
+                n, n, tuple(chain.from_iterable(map(pick, ext_rows))))
+            minor_value = det_bareiss(minor)
+            rhs = sign * det_q * det_a
+            records.append(Prop1Record(
+                n, r, deleted, minor_value, sign, det_q, det_a, rhs,
+                minor_value == rhs))
+        batch.append(records)
+    return batch
 
 
 def q_fib_det(n: int, r: int) -> int:

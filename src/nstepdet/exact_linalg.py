@@ -71,6 +71,18 @@ class IntMatrix:
                 raise DimensionError(
                     f"entries must be ints, got {type(e).__name__}")
 
+    @classmethod
+    def _trusted(cls, rows: int, cols: int, entries: tuple[int, ...]) -> "IntMatrix":
+        """Build without the shape and entry checks.
+
+        Only for entries copied out of matrices that already passed them,
+        in a shape the caller has fixed; outside input goes through the
+        public constructors.
+        """
+        m = object.__new__(cls)
+        m.__dict__.update(rows=rows, cols=cols, entries=entries)
+        return m
+
     @staticmethod
     def from_rows(rows: Sequence[Sequence[int]]) -> "IntMatrix":
         rows = [list(r) for r in rows]

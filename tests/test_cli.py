@@ -245,11 +245,39 @@ class TestProp1:
 
     def test_explicit_matrix(self, capsys):
         code, report, _ = run_json(
-            capsys, "prop1", "--matrix", "1 2; 0 1", "--r", "1..2",
+            capsys, "prop1", "--matrix", "1 2; 0 1", "--r", "1..3",
             "--format", "json")
         assert code == EXIT_OK
         assert report["summary"]["failed"] == 0
         assert all(rec["case"]["n"] == 2 for rec in report["records"])
+        # det(a) = 1, so each minor equals sign x det Q; the minors of the
+        # extension (1 2 3 5 8; 0 1 1 2 3) check against cofactor expansion.
+        got = [(rec["case"]["r"], rec["case"]["trial"], rec["case"]["deleted"],
+                rec["lhs"], rec["rhs"]) for rec in report["records"]]
+        assert got == [
+            (1, 1, [1], "-1", "-1"), (1, 1, [2], "1", "1"),
+            (2, 1, [1, 2], "1", "1"), (2, 1, [1, 3], "-1", "-1"),
+            (2, 1, [2, 3], "2", "2"),
+            (3, 1, [1, 2, 3], "-1", "-1"), (3, 1, [1, 2, 4], "1", "1"),
+            (3, 1, [1, 3, 4], "-2", "-2"), (3, 1, [2, 3, 4], "3", "3"),
+        ]
+
+    def test_oversized_grid_rejected_before_work(self, capsys, monkeypatch):
+        def no_work(*args):
+            raise AssertionError("the grid check must come before any work")
+
+        monkeypatch.setattr("nstepdet.cli.random_matrix", no_work)
+        monkeypatch.setattr("nstepdet.cli.check_prop1_all", no_work)
+        code, out, err = run(capsys, "prop1", "--n", "5..10", "--r", "1..40")
+        assert code == EXIT_USAGE
+        assert out == ""
+        assert "records" in err
+
+    def test_bad_order_or_length_is_usage_error(self, capsys):
+        for flags in (("--n", "1..3"), ("--r", "0..2"), ("--r", "-3..-1")):
+            code, out, _ = run(capsys, "prop1", *flags)
+            assert code == EXIT_USAGE, flags
+            assert out == ""
 
     def test_bad_trials_usage_error(self, capsys):
         code, _, _ = run(capsys, "prop1", "--trials", "0")
@@ -284,6 +312,21 @@ class TestBench:
     def test_order_beyond_oracle_guard(self, capsys):
         code, _, _ = run(capsys, "bench", "bareiss-vs-laplace", "--order", "9")
         assert code == EXIT_USAGE
+
+    def test_bad_trials_or_bound_is_usage_error(self, capsys):
+        for flags in (("--trials", "0"), ("--bound", "-2")):
+            code, out, err = run(capsys, "bench", "bareiss-vs-laplace",
+                                 "--order", "6", *flags)
+            assert code == EXIT_USAGE, flags
+            assert out == ""
+            assert err.startswith("error: --"), err
+
+    def test_bench_without_records_is_usage_error(self, capsys, monkeypatch):
+        monkeypatch.setattr("nstepdet.cli.parse_sizes", lambda text: [])
+        code, out, err = run(capsys, "bench", "bareiss-vs-laplace")
+        assert code == EXIT_USAGE
+        assert out == ""
+        assert "nothing was checked" in err
 
 
 class TestReportShape:

@@ -6,6 +6,7 @@ from itertools import combinations
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import nstepdet
 
@@ -22,6 +23,7 @@ from nstepdet.construction import (
     build_P,
     build_Q,
     check_prop1,
+    check_prop1_all,
     extend_columns,
     minor_by_deletion,
     minor_selection,
@@ -36,6 +38,14 @@ M = IntMatrix.from_rows
 def random_square(rng, order, bound=9):
     return M([[rng.randint(-bound, bound) for _ in range(order)]
               for _ in range(order)])
+
+
+def run_child(code, *interpreter_flags):
+    """Run ``code`` in a fresh interpreter that imports this package."""
+    src = str(Path(nstepdet.__file__).resolve().parents[1])
+    return subprocess.run([sys.executable, *interpreter_flags, "-c", code],
+                          env={"PYTHONPATH": src}, capture_output=True,
+                          text=True, timeout=60)
 
 
 class TestBuildP:
@@ -260,7 +270,8 @@ class TestCheckProp1:
 
     def test_sign_check_survives_optimize_flag(self):
         # python -O strips assert statements; the sign cross-check must
-        # still raise when the two formulas disagree.
+        # still raise when the two formulas disagree, on the per-deletion
+        # path and in the batch.
         code = textwrap.dedent("""
             import sys
             import nstepdet.construction as construction
@@ -268,17 +279,79 @@ class TestCheckProp1:
             if not sys.flags.optimize:
                 sys.exit(3)
             construction.sign_from_kept = lambda n, kept: 0
-            try:
-                construction.check_prop1(
-                    IntMatrix.from_rows([[1, 2], [0, 1]]), 1, [1])
-            except ArithmeticError:
-                sys.exit(0)
-            sys.exit(1)
+            a = IntMatrix.from_rows([[1, 2], [0, 1]])
+            for check in (lambda: construction.check_prop1(a, 1, [1]),
+                          lambda: construction.check_prop1_all([a], 1)):
+                try:
+                    check()
+                except ArithmeticError:
+                    continue
+                sys.exit(1)
         """)
-        src = str(Path(nstepdet.__file__).resolve().parents[1])
-        proc = subprocess.run([sys.executable, "-O", "-c", code],
-                              env={"PYTHONPATH": src}, timeout=60)
-        assert proc.returncode == 0
+        proc = run_child(code, "-O")
+        assert proc.returncode == 0, proc.stderr
+
+
+class TestCheckProp1All:
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data(), n=st.integers(2, 5), r=st.integers(1, 5),
+           bound=st.integers(0, 9), count=st.integers(1, 3))
+    def test_equals_per_deletion_path(self, data, n, r, bound, count):
+        # bound 0 gives the zero matrix, so singular inputs are covered.
+        entries = st.lists(st.integers(-bound, bound), min_size=n, max_size=n)
+        mats = [M(data.draw(st.lists(entries, min_size=n, max_size=n)))
+                for _ in range(count)]
+        deletions = list(combinations(range(1, n + r), r))
+        assert check_prop1_all(mats, r) == [
+            [check_prop1(a, r, d) for d in deletions] for a in mats]
+
+    def test_minor_not_derived_from_the_rule(self, monkeypatch):
+        # With a doubled band matrix every right side doubles; the minors,
+        # evaluated on their own, must not follow and the records must fail.
+        a = M([[1, 2], [0, 1]])
+        ext = extend_columns(a, 2)
+        true_p = build_P(2, 2)
+        monkeypatch.setattr(
+            "nstepdet.construction.build_P",
+            lambda n, r: M([[2 * e for e in row] for row in true_p.to_rows()]))
+        [records] = check_prop1_all([a], 2)
+        for rec in records:
+            assert rec.minor_value == det_laplace(minor_by_deletion(ext, rec.deleted))
+            assert not rec.passed
+
+    def test_empty_batch(self):
+        assert check_prop1_all([], 2) == []
+
+    def test_mixed_or_non_square_orders_rejected(self):
+        with pytest.raises(DimensionError):
+            check_prop1_all([IntMatrix.identity(2), IntMatrix.identity(3)], 1)
+        with pytest.raises(DimensionError):
+            check_prop1_all([M([[1, 2, 3], [4, 5, 6]])], 1)
+
+    def test_bad_extension_length_rejected(self):
+        with pytest.raises(ValueError):
+            check_prop1_all([IntMatrix.identity(2)], 0)
+
+    def test_cli_recheck_disagreement_exits_nonzero(self):
+        # The CLI rechecks one deletion per matrix on the per-deletion path;
+        # a record that differs from the batch's must stop the run.
+        code = textwrap.dedent("""
+            import dataclasses
+            import sys
+            import nstepdet.cli as cli
+            reference = cli.check_prop1
+            def skewed(a, r, deleted):
+                rec = reference(a, r, deleted)
+                return dataclasses.replace(rec, minor_value=rec.minor_value + 1)
+            cli.check_prop1 = skewed
+            sys.argv = ["nstepdet", "prop1", "--n", "2", "--r", "1",
+                        "--trials", "1", "--format", "json"]
+            cli.console_main()
+        """)
+        proc = run_child(code)
+        assert proc.returncode != 0
+        assert proc.stdout == ""
+        assert "ArithmeticError: batch and per-deletion prop1 disagree" in proc.stderr
 
 
 class TestQFibDet:
