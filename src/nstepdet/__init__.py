@@ -21,7 +21,6 @@ from .nstep_seq import (
     PAPER_POWERS,
     Convention,
     custom,
-    companion_matrix,
     term,
     term_fast,
     terms_range,

@@ -20,11 +20,15 @@ from math import comb
 from random import Random
 
 from . import __version__
-from .exact_linalg import IntMatrix, det_bareiss, det_laplace, parse_matrix
+from .exact_linalg import IntMatrix, check_at_least, det_bareiss, det_laplace, parse_matrix
 from .nstep_seq import CLASSIC, PAPER_POWERS, term, term_fast, terms_range
 from .construction import check_prop1, check_prop1_all
 from .identities import (
+    FAMILIES,
+    GEN_DOCAGNE,
+    VerificationRecord,
     case_to_dict,
+    family_records,
     generalized_docagne,
     verify_cassini,
     verify_catalan,
@@ -39,7 +43,7 @@ EXIT_USAGE = 2
 _CONVENTIONS = {"classic": CLASSIC, "paper": PAPER_POWERS}
 
 # Canonical sweep order for `verify all` (alphabetical).
-_VERIFY_KINDS = ("cassini", "catalan", "docagne", "gen-docagne", "vajda")
+_VERIFY_KINDS = tuple(sorted([*FAMILIES, GEN_DOCAGNE]))
 
 # Most records one `prop1` run may ask for: trials x C(n+r-1, r) summed
 # over the (n, r) grid. Larger grids would take hours and gigabytes.
@@ -50,7 +54,7 @@ class UsageError(Exception):
     """Flag combination or value the parser syntax cannot catch."""
 
 
-def parse_range(text: str) -> list[int]:
+def parse_range(text: str) -> range:
     """Inclusive 'a..b' range or single integer 'a'; rejects empty ranges."""
     if ".." in text:
         lo_text, hi_text = text.split("..", 1)
@@ -59,10 +63,10 @@ def parse_range(text: str) -> list[int]:
         lo = hi = int(text)
     if lo > hi:
         raise UsageError(f"empty range {text!r}")
-    return list(range(lo, hi + 1))
+    return range(lo, hi + 1)
 
 
-def parse_sizes(text: str) -> list[int]:
+def parse_sizes(text: str) -> list[int] | range:
     """Comma-separated integers 'a,b,c' or an inclusive 'a..b' range."""
     if "," in text:
         return [int(p) for p in text.split(",")]
@@ -174,12 +178,16 @@ def _check_trials_bound(args: argparse.Namespace) -> None:
         raise UsageError(f"--bound must be >= 0, got {args.bound}")
 
 
-def _require_records(records: list[dict]) -> None:
+def _finish(args: argparse.Namespace, params: tuple[str, ...], records: list[dict],
+            timings: dict, started: float) -> int:
+    """Emit the report of ``records``, with the named flags as its params,
+    and return the exit code."""
     if not records:
         raise UsageError("the sweep produced no records, so nothing was checked")
-
-
-def _report_exit(records: list[dict]) -> int:
+    timings["total"] = (time.perf_counter() - started) * 1000.0
+    report = build_report(
+        args.command, {key: getattr(args, key) for key in params}, records, timings)
+    emit_report(report, args.format, args.out)
     return EXIT_OK if all(rec["pass"] for rec in records) else EXIT_FAIL
 
 
@@ -213,61 +221,36 @@ def cmd_seq(args: argparse.Namespace) -> int:
 # verify
 
 
+def _verification_dict(rec: VerificationRecord, trial: int | None = None) -> dict:
+    return _record_dict(case_to_dict(rec.case, trial), rec.lhs, rec.rhs, rec.passed)
+
+
 def _verify_sweep(kind: str, args: argparse.Namespace, conventions,
                   rng: Random, base_matrix: IntMatrix | None) -> list[dict]:
-    records: list[dict] = []
-
-    if kind == "gen-docagne":
+    if kind == GEN_DOCAGNE:
         r_values = parse_range(args.r)
         if base_matrix is not None:
+            return [_verification_dict(generalized_docagne(base_matrix, r))
+                    for r in r_values]
+        if args.n is None:
+            raise UsageError("--n is required (or pass --matrix)")
+        records: list[dict] = []
+        for n in parse_range(args.n):
             for r in r_values:
-                rec = generalized_docagne(base_matrix, r)
-                records.append(_record_dict(
-                    case_to_dict(rec.case), rec.lhs, rec.rhs, rec.passed))
-        else:
-            if args.n is None:
-                raise UsageError("--n is required (or pass --matrix)")
-            for n in parse_range(args.n):
-                for r in r_values:
-                    for trial in range(1, args.trials + 1):
-                        a = random_matrix(rng, n, args.bound)
-                        rec = generalized_docagne(a, r)
-                        records.append(_record_dict(
-                            case_to_dict(rec.case, trial=trial),
-                            rec.lhs, rec.rhs, rec.passed))
+                for trial in range(1, args.trials + 1):
+                    a = random_matrix(rng, n, args.bound)
+                    records.append(_verification_dict(generalized_docagne(a, r), trial))
         return records
 
     if args.n is None:
         raise UsageError("--n is required")
-    n_values = parse_range(args.n)
-    r_values = parse_range(args.r)
-    s_values = parse_range(args.s)
-    p_values = parse_range(args.p)
-    q_values = parse_range(args.q)
-
-    def emit(rec) -> None:
-        records.append(_record_dict(
-            case_to_dict(rec.case), rec.lhs, rec.rhs, rec.passed))
-
-    for n in n_values:
-        for r in r_values:
-            if kind == "cassini":
-                for conv in conventions:
-                    emit(verify_cassini(n, r, conv))
-            elif kind == "catalan":
-                for p in p_values:
-                    for conv in conventions:
-                        emit(verify_catalan(n, r, p, conv))
-            elif kind == "docagne":
-                for s in s_values:
-                    for conv in conventions:
-                        emit(verify_docagne(n, r, s, conv))
-            elif kind == "vajda":
-                for p in p_values:
-                    for q in q_values:
-                        for conv in conventions:
-                            emit(verify_vajda(n, r, p, q, conv))
-    return records
+    grid = {axis: parse_range(getattr(args, axis)) for axis in ("n", "r", "s", "p", "q")}
+    family = FAMILIES[kind]
+    # Call the verifier through the name this module imports it under: the
+    # benchmark's tracer patches those names (nstepdet.cli.verify_*).
+    verify = globals()[family.verify.__name__]
+    return [_verification_dict(rec)
+            for rec in family_records(verify, family.axes, grid, conventions)]
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
@@ -287,24 +270,8 @@ def cmd_verify(args: argparse.Namespace) -> int:
     records: list[dict] = []
     for kind in kinds:
         records.extend(_verify_sweep(kind, args, conventions, rng, base_matrix))
-    _require_records(records)
-    elapsed_ms = (time.perf_counter() - started) * 1000.0
-    params = {
-        "kind": args.kind,
-        "n": args.n,
-        "r": args.r,
-        "s": args.s,
-        "p": args.p,
-        "q": args.q,
-        "convention": args.convention,
-        "trials": args.trials,
-        "bound": args.bound,
-        "matrix": args.matrix,
-        "seed": args.seed,
-    }
-    report = build_report("verify", params, records, {"total": elapsed_ms})
-    emit_report(report, args.format, args.out)
-    return _report_exit(records)
+    return _finish(args, ("kind", "n", "r", "s", "p", "q", "convention", "trials",
+                          "bound", "matrix", "seed"), records, {}, started)
 
 
 # --------------------------------------------------------------------------
@@ -324,10 +291,8 @@ def cmd_prop1(args: argparse.Namespace) -> int:
     else:
         n_values = parse_range(args.n)
         trials = args.trials
-    if n_values[0] < 2:
-        raise UsageError(f"order n must be >= 2, got {n_values[0]}")
-    if r_values[0] < 1:
-        raise UsageError(f"extension length r must be >= 1, got {r_values[0]}")
+    check_at_least(2, n=n_values[0])
+    check_at_least(1, r=r_values[0])
     due = 0
     for n in n_values:
         for r in r_values:
@@ -356,18 +321,8 @@ def cmd_prop1(args: argparse.Namespace) -> int:
                             "deleted": list(rec.deleted)}
                     records.append(_record_dict(
                         case, rec.minor_value, rec.rhs, rec.passed))
-    elapsed_ms = (time.perf_counter() - started) * 1000.0
-    params = {
-        "n": args.n,
-        "r": args.r,
-        "trials": args.trials,
-        "bound": args.bound,
-        "matrix": args.matrix,
-        "seed": args.seed,
-    }
-    report = build_report("prop1", params, records, {"total": elapsed_ms})
-    emit_report(report, args.format, args.out)
-    return _report_exit(records)
+    return _finish(args, ("n", "r", "trials", "bound", "matrix", "seed"),
+                   records, {}, started)
 
 
 # --------------------------------------------------------------------------
@@ -416,21 +371,8 @@ def cmd_bench(args: argparse.Namespace) -> int:
                 records.append(_record_dict(case, db, dl, db == dl))
             timings[f"bareiss[order={order}]"] = bareiss_ms
             timings[f"laplace[order={order}]"] = laplace_ms
-    _require_records(records)
-    timings["total"] = (time.perf_counter() - started) * 1000.0
-    params = {
-        "task": args.task,
-        "n": args.n,
-        "k": args.k,
-        "order": args.order,
-        "trials": args.trials,
-        "bound": args.bound,
-        "convention": args.convention,
-        "seed": args.seed,
-    }
-    report = build_report("bench", params, records, timings)
-    emit_report(report, args.format, args.out)
-    return _report_exit(records)
+    return _finish(args, ("task", "n", "k", "order", "trials", "bound", "convention",
+                          "seed"), records, timings, started)
 
 
 # --------------------------------------------------------------------------
@@ -523,10 +465,7 @@ def main(argv=None) -> int:
         return exc.code if isinstance(exc.code, int) else EXIT_USAGE
     try:
         return args.func(args)
-    except UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except ValueError as exc:
+    except (UsageError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

@@ -37,6 +37,7 @@ from .exact_linalg import (
     DimensionError,
     IntMatrix,
     SelectionError,
+    check_at_least,
     det_bareiss,
     select_columns,
 )
@@ -86,13 +87,6 @@ class Prop1Record:
     passed: bool
 
 
-def _check_nr(n: int, r: int) -> None:
-    if n < 2:
-        raise ValueError(f"order n must be >= 2, got {n}")
-    if r < 1:
-        raise ValueError(f"extension length r must be >= 1, got {r}")
-
-
 def minor_selection(n: int, r: int, deleted: Iterable[int]) -> MinorSelection:
     """Validate a deletion list and compute its kept complement.
 
@@ -100,7 +94,8 @@ def minor_selection(n: int, r: int, deleted: Iterable[int]) -> MinorSelection:
     number exactly r; lists are never silently repaired because the sign
     formulas depend on the sorted values.
     """
-    _check_nr(n, r)
+    check_at_least(2, n=n)
+    check_at_least(1, r=r)
     deleted = tuple(deleted)
     if len(deleted) != r:
         raise SelectionError(
@@ -125,7 +120,8 @@ def build_P(n: int, r: int) -> IntMatrix:
     Entry (i, j) is 1 for j <= i <= j+n-1, -1 for i = j+n, else 0; columns
     near the right edge lose their -1 when row j+n falls off the bottom.
     """
-    _check_nr(n, r)
+    check_at_least(2, n=n)
+    check_at_least(1, r=r)
     height = n + r - 1
     rows = []
     for i in range(1, height + 1):
@@ -143,7 +139,8 @@ def build_P(n: int, r: int) -> IntMatrix:
 
 def build_Q(n: int, r: int, rows: Iterable[int]) -> IntMatrix:
     """The r x r submatrix of ``build_P(n, r)`` lying in the given rows."""
-    _check_nr(n, r)
+    check_at_least(2, n=n)
+    check_at_least(1, r=r)
     rows = tuple(rows)
     if len(rows) != r:
         raise SelectionError(f"need exactly r={r} row indices, got {len(rows)}")
@@ -163,8 +160,9 @@ def extend_columns(a: IntMatrix, r: int) -> IntMatrix:
     """
     if not a.is_square:
         raise DimensionError(f"extend_columns needs a square matrix, got {a.rows}x{a.cols}")
-    _check_nr(a.rows, r)
     n = a.rows
+    check_at_least(2, n=n)
+    check_at_least(1, r=r)
     cols = [list(a.column(k)) for k in range(1, n + 1)]
     for j in range(r):
         window = cols[j:j + n]

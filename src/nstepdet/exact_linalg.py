@@ -19,6 +19,7 @@ __all__ = [
     "SelectionError",
     "RangeError",
     "SizeGuardError",
+    "check_at_least",
     "IntMatrix",
     "det_bareiss",
     "det_laplace",
@@ -47,6 +48,13 @@ class RangeError(ValueError):
 
 class SizeGuardError(ValueError):
     """Input exceeds the hard limit of a deliberately slow oracle."""
+
+
+def check_at_least(least: int, **params: int) -> None:
+    """Raise ValueError naming the first parameter whose value is below ``least``."""
+    for name, value in params.items():
+        if value < least:
+            raise ValueError(f"parameter {name} must be >= {least}, got {value}")
 
 
 @dataclass(frozen=True)

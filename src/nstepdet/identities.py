@@ -8,15 +8,22 @@ record, pass or fail, and ``convention_probe`` reports which seed
 convention actually satisfies each family instead of taking either for
 granted. Verification defaults to the classic convention, which is the one
 the probe shows to hold across all four families.
+
+``FAMILIES`` maps each sequence-matrix family to its parameter axes and its
+verifier; ``family_records`` sweeps one family over a grid of values, for
+both the CLI's ``verify`` and ``convention_probe``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import product
+from typing import Callable, Iterator, Mapping, Sequence
 
 from .exact_linalg import (
     DimensionError,
     IntMatrix,
+    check_at_least,
     det_bareiss,
     select_columns,
 )
@@ -33,6 +40,8 @@ __all__ = [
     "RegularityError",
     "IdentityCase",
     "VerificationRecord",
+    "Family",
+    "FAMILIES",
     "case_to_dict",
     "cassini_matrix",
     "verify_cassini",
@@ -43,6 +52,7 @@ __all__ = [
     "verify_catalan",
     "generalized_docagne",
     "ratio_invariance",
+    "family_records",
     "convention_probe",
 ]
 
@@ -101,12 +111,6 @@ def _sign(exponent: int) -> int:
     return 1 if exponent % 2 == 0 else -1
 
 
-def _check_positive(**params: int) -> None:
-    for name, value in params.items():
-        if value < 1:
-            raise ValueError(f"parameter {name} must be >= 1, got {value}")
-
-
 def _term_window(n: int, conv: Convention, lo: int, hi: int):
     """Index-addressable slice of the sequence, fetched in one pass."""
     values = terms_range(n, conv, lo, hi)
@@ -115,7 +119,7 @@ def _term_window(n: int, conv: Convention, lo: int, hi: int):
 
 def cassini_matrix(n: int, r: int, conv: Convention = CLASSIC) -> IntMatrix:
     """n x n matrix with entry (i, k) = term r+k-i+1; constant diagonals."""
-    _check_positive(r=r)
+    check_at_least(1, r=r)
     f = _term_window(n, conv, r - n + 2, r + n)
     return IntMatrix.from_rows(
         [[f(r + k - i + 1) for k in range(1, n + 1)] for i in range(1, n + 1)])
@@ -132,7 +136,7 @@ def verify_cassini(n: int, r: int, conv: Convention = CLASSIC) -> VerificationRe
 def docagne_matrix(n: int, r: int, s: int, conv: Convention = CLASSIC) -> IntMatrix:
     """Cassini matrix with its last column pushed s-1 indices ahead:
     entry (i, n) = term r+n+s-i. At s = 1 it is the Cassini matrix."""
-    _check_positive(r=r, s=s)
+    check_at_least(1, r=r, s=s)
     f = _term_window(n, conv, r - n + 2, r + n + s - 1)
     rows = []
     for i in range(1, n + 1):
@@ -156,7 +160,7 @@ def vajda_matrix(n: int, r: int, p: int, q: int, conv: Convention = CLASSIC) -> 
     For i < n: entry (i, k) = term r-n+i+k, entry (i, n) = term p+r+i-1.
     Row n:     entry (n, k) = term q+r+k-1, entry (n, n) = term p+q+r+n-2.
     """
-    _check_positive(r=r, p=p, q=q)
+    check_at_least(1, r=r, p=p, q=q)
     f = _term_window(n, conv, r - n + 2, p + q + r + n - 2)
     rows = []
     for i in range(1, n):
@@ -202,7 +206,7 @@ def generalized_docagne(a: IntMatrix, r: int) -> VerificationRecord:
     if not a.is_square:
         raise DimensionError(
             f"generalized_docagne needs a square matrix, got {a.rows}x{a.cols}")
-    _check_positive(r=r)
+    check_at_least(1, r=r)
     n = a.rows
     lhs = _leading_minor_det(a, r)
     rhs = term(n, PAPER_POWERS, r) * det_bareiss(a)
@@ -221,7 +225,7 @@ def ratio_invariance(a: IntMatrix, b: IntMatrix, r: int) -> VerificationRecord:
     if a.rows != b.rows:
         raise DimensionError(
             f"matrices must have equal order, got {a.rows} and {b.rows}")
-    _check_positive(r=r)
+    check_at_least(1, r=r)
     n = a.rows
     det_a = det_bareiss(a)
     det_b = det_bareiss(b)
@@ -231,6 +235,40 @@ def ratio_invariance(a: IntMatrix, b: IntMatrix, r: int) -> VerificationRecord:
     rhs = _leading_minor_det(b, r) * det_a
     return VerificationRecord(
         IdentityCase(RATIO_INVARIANCE, n, r, PAPER_POWERS.name), lhs, rhs, lhs == rhs, n)
+
+
+@dataclass(frozen=True)
+class Family:
+    """A sequence-matrix identity family: its parameter axes after n and r,
+    in nesting order, and its verifier, called as verify(n, r, *axes, conv)."""
+
+    axes: tuple[str, ...]
+    verify: Callable[..., VerificationRecord]
+
+
+FAMILIES = {
+    CASSINI: Family((), verify_cassini),
+    CATALAN: Family(("p",), verify_catalan),
+    DOCAGNE: Family(("s",), verify_docagne),
+    VAJDA: Family(("p", "q"), verify_vajda),
+}
+
+
+def family_records(
+    verify: Callable[..., VerificationRecord],
+    axes: tuple[str, ...],
+    grid: Mapping[str, Sequence[int]],
+    conventions: Sequence[Convention],
+) -> Iterator[VerificationRecord]:
+    """Records of ``verify`` over n, r, then each of ``axes``, then the
+    conventions, nested in that order; ``grid`` maps n, r and every axis
+    name to its values."""
+    # n and r stay outside product(), which copies each input into a tuple
+    # before yielding anything.
+    for n in grid["n"]:
+        for r in grid["r"]:
+            for rest in product(*(grid[axis] for axis in axes), conventions):
+                yield verify(n, r, *rest)
 
 
 def convention_probe(
@@ -248,26 +286,13 @@ def convention_probe(
     documents which seeding satisfies which family. ``resolution`` lists,
     per family, the conventions with a clean sweep.
     """
-    sweeps = {
-        CASSINI: lambda conv: [
-            verify_cassini(n, r, conv) for n in n_values for r in r_values],
-        CATALAN: lambda conv: [
-            verify_catalan(n, r, p, conv)
-            for n in n_values for r in r_values for p in p_values],
-        DOCAGNE: lambda conv: [
-            verify_docagne(n, r, s, conv)
-            for n in n_values for r in r_values for s in s_values],
-        VAJDA: lambda conv: [
-            verify_vajda(n, r, p, q, conv)
-            for n in n_values for r in r_values
-            for p in p_values for q in q_values],
-    }
+    grid = {"n": n_values, "r": r_values, "s": s_values, "p": p_values, "q": q_values}
     families: dict = {}
     resolution: dict = {}
-    for family in sorted(sweeps):
+    for name, family in sorted(FAMILIES.items()):
         per_conv: dict = {}
         for conv in conventions:
-            records = sweeps[family](conv)
+            records = list(family_records(family.verify, family.axes, grid, (conv,)))
             failed = [rec for rec in records if not rec.passed]
             per_conv[conv.name] = {
                 "total": len(records),
@@ -275,17 +300,13 @@ def convention_probe(
                 "failed": len(failed),
                 "failures": [case_to_dict(rec.case) for rec in failed],
             }
-        families[family] = per_conv
-        resolution[family] = [
+        families[name] = per_conv
+        resolution[name] = [
             conv.name for conv in conventions
             if per_conv[conv.name]["failed"] == 0]
     return {
         "params": {
-            "n": list(n_values),
-            "r": list(r_values),
-            "s": list(s_values),
-            "p": list(p_values),
-            "q": list(q_values),
+            **{axis: list(values) for axis, values in grid.items()},
             "conventions": [conv.name for conv in conventions],
         },
         "families": families,

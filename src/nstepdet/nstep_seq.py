@@ -33,7 +33,7 @@ from dataclasses import dataclass
 from operator import mul
 from typing import Iterable
 
-from .exact_linalg import IntMatrix, RangeError
+from .exact_linalg import RangeError, check_at_least
 
 __all__ = [
     "DomainError",
@@ -44,7 +44,6 @@ __all__ = [
     "seed_block",
     "term",
     "terms_range",
-    "companion_matrix",
     "term_fast",
 ]
 
@@ -73,14 +72,9 @@ def custom(seeds: Iterable[int]) -> Convention:
     return Convention("custom", seeds)
 
 
-def _check_n(n: int) -> None:
-    if n < 2:
-        raise ValueError(f"step count n must be >= 2, got {n}")
-
-
 def seed_block(n: int, conv: Convention) -> tuple[int, ...]:
     """The convention's values at indices 1..n."""
-    _check_n(n)
+    check_at_least(2, n=n)
     if conv.name == "classic":
         return (1,) + tuple(2 ** k for k in range(n - 1))
     if conv.name == "paper":
@@ -212,19 +206,6 @@ def terms_range(n: int, conv: Convention, lo: int, hi: int) -> list[int]:
                 values.append(val)
 
     return values
-
-
-def companion_matrix(n: int) -> IntMatrix:
-    """Advance matrix of the recurrence: first row ones, subdiagonal ones.
-
-    Applied to the state (term k, term k-1, ..., term k-n+1) it yields the
-    state shifted up by one index.
-    """
-    _check_n(n)
-    rows = [[1] * n]
-    for i in range(1, n):
-        rows.append([1 if j == i - 1 else 0 for j in range(n)])
-    return IntMatrix.from_rows(rows)
 
 
 def term_fast(n: int, conv: Convention, k: int) -> int:

@@ -1,4 +1,6 @@
+import hashlib
 import json
+import time
 
 import pytest
 
@@ -32,13 +34,13 @@ def without_timings(report):
 
 class TestRangeParsing:
     def test_single_value(self):
-        assert parse_range("7") == [7]
+        assert list(parse_range("7")) == [7]
 
     def test_span(self):
-        assert parse_range("2..5") == [2, 3, 4, 5]
+        assert list(parse_range("2..5")) == [2, 3, 4, 5]
 
     def test_negative_span(self):
-        assert parse_range("-3..1") == [-3, -2, -1, 0, 1]
+        assert list(parse_range("-3..1")) == [-3, -2, -1, 0, 1]
 
     def test_empty_rejected(self):
         with pytest.raises(Exception):
@@ -46,7 +48,10 @@ class TestRangeParsing:
 
     def test_sizes_comma_list(self):
         assert parse_sizes("10,100,1000") == [10, 100, 1000]
-        assert parse_sizes("3..5") == [3, 4, 5]
+        assert list(parse_sizes("3..5")) == [3, 4, 5]
+
+    def test_huge_span_is_not_materialized(self):
+        assert parse_range("1..1000000000000")[-1] == 10**12
 
 
 class TestSeq:
@@ -268,10 +273,14 @@ class TestProp1:
 
         monkeypatch.setattr("nstepdet.cli.random_matrix", no_work)
         monkeypatch.setattr("nstepdet.cli.check_prop1_all", no_work)
-        code, out, err = run(capsys, "prop1", "--n", "5..10", "--r", "1..40")
-        assert code == EXIT_USAGE
-        assert out == ""
-        assert "records" in err
+        # A billion-value --r must be rejected without listing its values.
+        for n, r in (("5..10", "1..40"), ("3", "1..1000000000")):
+            started = time.perf_counter()
+            code, out, err = run(capsys, "prop1", "--n", n, "--r", r)
+            assert code == EXIT_USAGE
+            assert out == ""
+            assert "records" in err
+            assert time.perf_counter() - started < 5.0
 
     def test_bad_order_or_length_is_usage_error(self, capsys):
         for flags in (("--n", "1..3"), ("--r", "0..2"), ("--r", "-3..-1")):
@@ -369,3 +378,28 @@ class TestReportShape:
     def test_no_subcommand_is_usage_error(self, capsys):
         code, _, _ = run(capsys)
         assert code == EXIT_USAGE
+
+
+class TestGoldenReports:
+    """SHA-256 of reports that no benchmark golden pins, with ``timings_ms``
+    removed from JSON reports."""
+
+    GOLDEN = {
+        "verify all --n 2..4 --r 1..6 --convention both --format json": (
+            EXIT_FAIL, "c303ba1e75af8c021ebc8741a51a28dcd292d5de89866bfd32211318d5fede6c"),
+        "verify vajda --n 2..5 --r 1..4 --p 1..3 --q 2..4 --format csv": (
+            EXIT_OK, "6ce79384c4a1d20dddde14bf9fe0c1116a16d12fe851a4b889df9204d3d95657"),
+        "verify gen-docagne --n 2..3 --r 1..5 --trials 3 --seed 4 --format csv": (
+            EXIT_OK, "31309430cb5d746022289c5438e113505602b6dd7d07ea6d624e4620f6e13d6f"),
+        "bench bareiss-vs-laplace --order 3..4 --trials 3 --seed 2 --format json": (
+            EXIT_OK, "f2e0858c0b8dac68c26a6dd64a7e492bafbfd3633a29f15de06f1194e74b795c"),
+    }
+
+    @pytest.mark.parametrize("argv", GOLDEN)
+    def test_report_digest(self, capsys, argv):
+        exit_code, digest = self.GOLDEN[argv]
+        code, out, _ = run(capsys, *argv.split())
+        assert code == exit_code
+        if argv.endswith("json"):
+            out = canonical_json(without_timings(json.loads(out)))
+        assert hashlib.sha256(out.encode()).hexdigest() == digest

@@ -81,6 +81,8 @@ class TestBuildP:
             build_P(1, 3)
         with pytest.raises(ValueError):
             build_P(3, 0)
+        with pytest.raises(ValueError, match="parameter n must be >= 2"):
+            build_P(0, 2)
 
 
 class TestBuildQ:

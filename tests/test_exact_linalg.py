@@ -9,6 +9,7 @@ from nstepdet.exact_linalg import (
     RangeError,
     SelectionError,
     SizeGuardError,
+    check_at_least,
     det_bareiss,
     det_laplace,
     format_matrix,
@@ -25,6 +26,13 @@ M = IntMatrix.from_rows
 def random_square(rng, order, bound=9):
     return M([[rng.randint(-bound, bound) for _ in range(order)]
               for _ in range(order)])
+
+
+class TestCheckAtLeast:
+    def test_names_the_first_parameter_below_the_bound(self):
+        check_at_least(2, n=2, k=7)
+        with pytest.raises(ValueError, match=r"^parameter p must be >= 1, got 0$"):
+            check_at_least(1, r=1, p=0, q=-4)
 
 
 class TestIntMatrix:

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import random
 
@@ -283,6 +284,11 @@ class TestConventionProbe:
             for cell in grid.values():
                 assert cell["passed"] + cell["failed"] == cell["total"]
                 assert len(cell["failures"]) == cell["failed"]
+
+    def test_golden_digest(self):
+        probe = json.dumps(convention_probe()).encode()
+        assert hashlib.sha256(probe).hexdigest() == (
+            "693c6d9a29b02c7033bc54a5b8d6061986427320b90c34ef712c1cb2b5410e3e")
 
     def test_deterministic(self):
         one = json.dumps(convention_probe(), sort_keys=True)

@@ -1,12 +1,11 @@
 import pytest
 from hypothesis import given, strategies as st
 
-from nstepdet.exact_linalg import IntMatrix, RangeError
+from nstepdet.exact_linalg import RangeError
 from nstepdet.nstep_seq import (
     CLASSIC,
     PAPER_POWERS,
     DomainError,
-    companion_matrix,
     custom,
     seed_block,
     term,
@@ -51,6 +50,8 @@ class TestSeeds:
     def test_n_below_two_rejected(self):
         with pytest.raises(ValueError):
             term(1, CLASSIC, 5)
+        with pytest.raises(ValueError, match="parameter n must be >= 2"):
+            seed_block(1, PAPER_POWERS)
 
 
 class TestTerm:
@@ -116,27 +117,6 @@ class TestTermsRange:
             for conv in ALL_CONVENTIONS:
                 values = terms_range(n, conv, -8, 40)
                 assert values == [term(n, conv, k) for k in range(-8, 41)]
-
-
-class TestCompanion:
-    def test_fibonacci_q_matrix(self):
-        assert companion_matrix(2) == IntMatrix.from_rows([[1, 1], [1, 0]])
-
-    def test_tribonacci_matrix(self):
-        assert companion_matrix(3) == IntMatrix.from_rows(
-            [[1, 1, 1], [1, 0, 0], [0, 1, 0]])
-
-    def test_advances_state(self):
-        for n in (2, 3, 4):
-            for conv in ALL_CONVENTIONS + (custom(range(1, n + 1)),):
-                c = companion_matrix(n)
-                for k in range(n, n + 5):
-                    state = [term(n, conv, k - j) for j in range(n)]
-                    advanced = [
-                        sum(c.entry(i, j + 1) * state[j] for j in range(n))
-                        for i in range(1, n + 1)]
-                    expect = [term(n, conv, k + 1 - j) for j in range(n)]
-                    assert advanced == expect
 
 
 class TestTermFast:
