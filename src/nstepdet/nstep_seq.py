@@ -13,14 +13,17 @@ Inverting the recurrence extends every sequence to zero and negative
 indices (term k = term k+n minus the n-1 terms between), which the
 determinant identities need for small row offsets.
 
-Two engines produce terms: a sliding-window iterator (exact, O(k)) and a
-polynomial-reduction engine (exact, O(log k) polynomial products): x^(k-1)
-modulo the characteristic polynomial x^n - x^(n-1) - ... - 1, dotted with
-the seeds (Fiduccia, "An efficient formula for linear recurrences", SIAM
-J. Comput. 14(1), 1985). ``term_fast`` uses it for one term; ``terms_range``
-uses it to jump to the start of a window past the seed block. The
-iterative ``term`` stays the independent oracle the engine is checked
-against; the two must agree everywhere they overlap. At k = 10^6 on one
+Two engines produce terms: a sliding-window iterator (exact, O(|k|)) and a
+polynomial-reduction engine (exact, O(log |k|) polynomial products):
+x^(k-1) modulo the characteristic polynomial x^n - x^(n-1) - ... - 1,
+dotted with the seeds (Fiduccia, "An efficient formula for linear
+recurrences", SIAM J. Comput. 14(1), 1985). Negative powers use the same
+polynomial, because x^(-1) = x^(n-1) - x^(n-2) - ... - 1 modulo it. So
+every index, negative ones too, is reached by the same jump: ``term_fast``
+uses it for one term, and ``terms_range`` uses it for the first n terms of
+every window, then sweeps forward. The iterative ``term`` stays the
+independent oracle the engine is checked against; the two must agree at
+every index. At k = 10^6 on one
 core of a shared 2-core x86-64 VM (Python 3.11, best of three),
 ``term_fast`` takes 0.06 s for n = 2, 0.14 s for n = 3, 0.5 s for n = 6
 and 1.5 s for n = 12.
@@ -36,7 +39,6 @@ from typing import Iterable
 from .exact_linalg import RangeError, check_at_least
 
 __all__ = [
-    "DomainError",
     "Convention",
     "CLASSIC",
     "PAPER_POWERS",
@@ -46,10 +48,6 @@ __all__ = [
     "terms_range",
     "term_fast",
 ]
-
-
-class DomainError(ValueError):
-    """Index outside the domain an engine supports."""
 
 
 @dataclass(frozen=True)
@@ -80,7 +78,8 @@ def seed_block(n: int, conv: Convention) -> tuple[int, ...]:
     if conv.name == "paper":
         return tuple(2 ** k for k in range(n))
     if conv.name == "custom":
-        assert conv.seeds is not None
+        if conv.seeds is None:
+            raise ValueError("custom convention has no seeds")
         if len(conv.seeds) != n:
             raise ValueError(
                 f"custom convention needs exactly {n} seeds, got {len(conv.seeds)}")
@@ -119,6 +118,14 @@ def _times_x(c: list[int]) -> list[int]:
     return [top] + [ci + top for ci in c[:-1]]
 
 
+def _times_x_inv(c: list[int]) -> list[int]:
+    """``c / x`` modulo the characteristic polynomial, by subtractions only:
+    the constant coefficient leaves through x^(-1) = x^(n-1) - x^(n-2) -
+    ... - 1, which follows from x^n = x^(n-1) + ... + x + 1."""
+    low = c[0]
+    return [ci - low for ci in c[1:]] + [low]
+
+
 def _square(c: list[int]) -> list[int]:
     """``c * c`` modulo the characteristic polynomial."""
     n = len(c)
@@ -147,81 +154,66 @@ def _square(c: list[int]) -> list[int]:
 
 def _x_pow(n: int, e: int) -> list[int]:
     """Coefficients of x^e modulo x^n - x^(n-1) - ... - 1 (lowest degree
-    first), by left-to-right square-and-shift over the bits of ``e >= 0``."""
+    first) for any integer ``e``, by left-to-right square-and-shift over the
+    bits of |e|, shifting up for e > 0 and down for e < 0."""
     c = [1] + [0] * (n - 1)
-    for bit in bin(e)[2:]:
+    if e == 0:
+        return c
+    shift = _times_x if e > 0 else _times_x_inv
+    # The leading bit is always 1: start from x^(+-1) rather than square 1.
+    c = shift(c)
+    for bit in bin(abs(e))[3:]:
         c = _square(c)
         if bit == "1":
-            c = _times_x(c)
+            c = shift(c)
     return c
+
+
+def _sweep(window: Iterable[int], count: int) -> list[int]:
+    """``window`` (n consecutive terms) followed by the next ``count`` terms.
+
+    A running total of the last n terms avoids n additions per step.
+    """
+    values = list(window)
+    total = sum(values)
+    for j in range(count):
+        values.append(total)
+        total += total - values[j]
+    return values
 
 
 def _window_at(c: list[int], seeds: tuple[int, ...]) -> list[int]:
     """Terms e+1..e+n, given ``c`` = x^e modulo the characteristic polynomial.
 
-    Term j+1 is the seed functional applied to x^j: the dot product of the
-    seeds with the coefficients of x^j reduced.
+    Term j+1 is the seed functional applied to x^j, so term e+1+j, the
+    functional at x^j * c, is sum_i c_i * term(i+j+1): a dot product of c
+    with terms j+1..j+n, swept forward from the seeds.
     """
-    window = []
-    for _ in range(len(seeds)):
-        window.append(sum(map(mul, c, seeds)))
-        c = _times_x(c)
-    return window
+    n = len(seeds)
+    first = _sweep(seeds, n - 1)
+    return [sum(map(mul, c, first[j:j + n])) for j in range(n)]
 
 
 def terms_range(n: int, conv: Convention, lo: int, hi: int) -> list[int]:
-    """Terms ``lo..hi`` inclusive, in one backward and one forward sweep."""
+    """Terms ``lo..hi`` inclusive: the first n by polynomial reduction, the
+    rest by one forward sweep."""
     if lo > hi:
         raise RangeError(f"empty index range {lo}..{hi}")
-    seeds = seed_block(n, conv)
-    values: list[int] = []
-
-    if lo <= 0:
-        backward: list[int] = []
-        window = list(seeds)
-        for k in range(0, lo - 1, -1):
-            val = window[-1] - sum(window[:-1])
-            window = [val] + window[:-1]
-            if k <= hi:
-                backward.append(val)
-        backward.reverse()
-        values.extend(backward)
-
-    if hi >= 1:
-        # Past the seed block, jump straight to terms lo..lo+n-1 by
-        # polynomial reduction instead of walking up from index 1.
-        start, first = 1, seeds
-        if lo > n:
-            start, first = lo, _window_at(_x_pow(n, lo - 1), seeds)
-        window = deque(maxlen=n)
-        total = 0
-        for k in range(start, hi + 1):
-            val = first[k - start] if k < start + n else total
-            if len(window) == n:
-                total += val - window[0]
-            else:
-                total += val
-            window.append(val)
-            if k >= lo:
-                values.append(val)
-
-    return values
+    window = _window_at(_x_pow(n, lo - 1), seed_block(n, conv))
+    return _sweep(window, hi - lo + 1 - n)[:hi - lo + 1]
 
 
 def term_fast(n: int, conv: Convention, k: int) -> int:
-    """Term ``k >= 1`` by polynomial reduction (Fiduccia's method).
+    """Term ``k`` (any integer) by polynomial reduction (Fiduccia's method).
 
-    With c = x^u mod the characteristic polynomial, u = (k-1) // 2 and
-    v = k-1-u, term k = sum_i c_i * term(v+1+i): the last doubling step
-    becomes n big products instead of a full polynomial square. Exactly
-    equals ``term(n, conv, k)``; cost grows with log k rather than k
+    With c = x^u mod the characteristic polynomial, u = (k-1) // 2 (floor
+    division, so also for k < 1) and v = k-1-u, term k =
+    sum_i c_i * term(v+1+i): the last doubling step becomes n big products
+    instead of a full polynomial square. Exactly equals
+    ``term(n, conv, k)``; cost grows with log |k| rather than |k|
     (big-integer arithmetic aside).
     """
     seeds = seed_block(n, conv)
-    if k < 1:
-        raise DomainError(f"term_fast needs k >= 1, got {k}")
-    if k <= n:
-        return seeds[k - 1]
     u = (k - 1) // 2
     c = _x_pow(n, u)
     window = _window_at(c if 2 * u == k - 1 else _times_x(c), seeds)

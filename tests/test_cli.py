@@ -393,6 +393,8 @@ class TestGoldenReports:
             EXIT_OK, "31309430cb5d746022289c5438e113505602b6dd7d07ea6d624e4620f6e13d6f"),
         "bench bareiss-vs-laplace --order 3..4 --trials 3 --seed 2 --format json": (
             EXIT_OK, "f2e0858c0b8dac68c26a6dd64a7e492bafbfd3633a29f15de06f1194e74b795c"),
+        "seq --n 5 --convention paper --from -60 --to -3 --format csv": (
+            EXIT_OK, "f49ef4e1813e9168bac7dfdb7f20fd7ac9ddf306ed34f54acf337e5e90959ddb"),
     }
 
     @pytest.mark.parametrize("argv", GOLDEN)

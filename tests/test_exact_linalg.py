@@ -115,6 +115,17 @@ class TestDeterminants:
             m = random_square(rng, order)
             assert det_bareiss(m) == det_laplace(m)
 
+    def test_bareiss_equals_berkowitz_above_laplace_guard(self):
+        # sympy's division-free Berkowitz algorithm is the oracle for the
+        # orders Laplace expansion refuses
+        sympy = pytest.importorskip("sympy")
+        rng = random.Random(3)
+        for order in range(LAPLACE_MAX_ORDER + 1, 21):
+            for _ in range(2):
+                m = random_square(rng, order)
+                berkowitz = sympy.Matrix(m.to_rows()).det(method="berkowitz")
+                assert det_bareiss(m) == int(berkowitz), order
+
     def test_singular_matrices(self):
         # duplicate rows force a zero determinant through the pivot logic
         m = M([[1, 2, 3], [1, 2, 3], [4, 5, 6]])

@@ -5,7 +5,7 @@ from nstepdet.exact_linalg import RangeError
 from nstepdet.nstep_seq import (
     CLASSIC,
     PAPER_POWERS,
-    DomainError,
+    Convention,
     custom,
     seed_block,
     term,
@@ -46,6 +46,8 @@ class TestSeeds:
             seed_block(3, custom([1, 2]))
         with pytest.raises(ValueError):
             custom([])
+        with pytest.raises(ValueError, match="custom convention has no seeds"):
+            seed_block(2, Convention("custom"))
 
     def test_n_below_two_rejected(self):
         with pytest.raises(ValueError):
@@ -143,24 +145,26 @@ class TestTermFast:
         for k in (1, 2, 3, 10, 57):
             assert term_fast(3, conv, k) == term(3, conv, k)
 
-    def test_rejects_nonpositive_index(self):
-        with pytest.raises(DomainError):
-            term_fast(2, CLASSIC, 0)
-        with pytest.raises(DomainError):
-            term_fast(2, CLASSIC, -5)
+    def test_nonpositive_index_matches_term(self):
+        for n in (2, 3, 5):
+            for conv in ALL_CONVENTIONS + (custom(range(-2, n - 2)),):
+                for k in range(-60, 1):
+                    assert term_fast(n, conv, k) == term(n, conv, k), (n, k)
 
 
 class TestEngineProperties:
-    @given(seq=SEQUENCES, k=st.integers(1, 3000))
+    @given(seq=SEQUENCES, k=st.integers(-3000, 3000))
     def test_term_fast_matches_term(self, seq, k):
         n, conv = seq
         assert term_fast(n, conv, k) == term(n, conv, k)
 
-    @given(seq=SEQUENCES, offset=st.integers(1, 3000), length=st.integers(1, 20))
-    def test_terms_range_past_seed_block_matches_term(self, seq, offset, length):
-        # lo > n: the range starts with the polynomial jump, not a walk.
+    @given(seq=SEQUENCES,
+           lo=st.one_of(st.integers(-3000, 3000), st.integers(-25, 10)),
+           length=st.integers(1, 30))
+    def test_terms_range_matches_term(self, seq, lo, length):
+        # Every lo, whether below, across or past the seed block 1..n,
+        # starts with the same polynomial jump.
         n, conv = seq
-        lo = n + offset
         hi = lo + length - 1
         assert terms_range(n, conv, lo, hi) == [
             term(n, conv, k) for k in range(lo, hi + 1)]
