@@ -3,9 +3,16 @@ signed-minor checks, and engine benchmarks.
 
 Reports come in three formats (``table`` for humans, ``json`` canonical,
 ``csv`` flat) and exit codes are deterministic: 0 when every record passes,
-1 when any fails, 2 on usage errors. Big integers are serialized as decimal
-strings, never as native numbers. Given identical flags and seed, all
-output except wall-time fields is byte-identical across runs.
+1 when any fails, 2 on usage errors, among them runs that would produce
+more than ``MAX_RECORDS`` records or terms. Big integers are serialized as
+decimal strings, never as native numbers. Given identical flags and seed,
+all output except wall-time fields is byte-identical across runs.
+
+``canonical_json`` is the one JSON serializer; its text is always that of
+``json.dumps(obj, indent=2)``. Because that call runs the pure-Python
+encoder, a report's records are written by a small emitter of their fixed
+shape and spliced into the rest of the report, which ``json.dumps`` writes;
+any value outside that shape sends the whole object to ``json.dumps``.
 """
 
 from __future__ import annotations
@@ -16,8 +23,10 @@ import io
 import json
 import sys
 import time
-from math import comb
+from json.encoder import encode_basestring_ascii
+from math import comb, prod
 from random import Random
+from typing import Callable
 
 from . import __version__
 from .exact_linalg import IntMatrix, check_at_least, det_bareiss, det_laplace, parse_matrix
@@ -45,9 +54,9 @@ _CONVENTIONS = {"classic": CLASSIC, "paper": PAPER_POWERS}
 # Canonical sweep order for `verify all` (alphabetical).
 _VERIFY_KINDS = tuple(sorted([*FAMILIES, GEN_DOCAGNE]))
 
-# Most records one `prop1` run may ask for: trials x C(n+r-1, r) summed
-# over the (n, r) grid. Larger grids would take hours and gigabytes.
-PROP1_MAX_RECORDS = 10**6
+# Most records (or `seq` terms) one run may ask for. Larger grids and
+# windows would take hours and gigabytes, so they exit 2 before any work.
+MAX_RECORDS = 10**6
 
 
 class UsageError(Exception):
@@ -73,15 +82,104 @@ def parse_sizes(text: str) -> list[int] | range:
     return parse_range(text)
 
 
+def _check_cap(due: int, unit: str, flags: str) -> None:
+    if due > MAX_RECORDS:
+        raise UsageError(
+            f"this run asks for more than {MAX_RECORDS} {unit}; narrow {flags}")
+
+
 def random_matrix(rng: Random, order: int, bound: int) -> IntMatrix:
     """Square matrix with entries drawn uniformly from [-bound, bound]."""
     return IntMatrix.from_rows(
         [[rng.randint(-bound, bound) for _ in range(order)] for _ in range(order)])
 
 
+# A report dumped with an empty records list holds this text exactly once:
+# a top-level key follows a newline and two spaces, which no string (its
+# newlines are escaped) and no nested key (indented deeper) can produce.
+_RECORDS_SLOT = '\n  "records": []'
+
+# JSON text of each scalar type a record may hold, by exact type. Every
+# writer is a C-level callable, which keeps the cost per value low.
+_SCALAR_JSON = {
+    str: encode_basestring_ascii,
+    int: int.__repr__,
+    bool: {False: "false", True: "true"}.__getitem__,
+    type(None): {None: "null"}.__getitem__,
+}
+
+
+class _KeyPrefixes(dict):
+    """Start of each key's line at one indentation, made on first use."""
+
+    def __init__(self, pad: str):
+        super().__init__()
+        self.pad = pad
+
+    def __missing__(self, key: str) -> str:
+        prefix = self[key] = self.pad + encode_basestring_ascii(key) + ": "
+        return prefix
+
+
+def _list_writer(pad: str, writers: dict) -> Callable[[list], str]:
+    """Writer of a list at indentation ``pad`` (a newline and spaces) as
+    ``json.dumps(indent=2)`` lays it out; ``writers`` writes each item by
+    its exact type and raises KeyError for any other type."""
+    inner = pad + "  "
+    sep = "," + inner
+    close = pad + "]"
+
+    def write(items: list) -> str:
+        if not items:
+            return "[]"
+        return "[" + inner + sep.join([writers[type(v)](v) for v in items]) + close
+    return write
+
+
+def _dict_writer(pad: str, writers: dict) -> Callable[[dict], str]:
+    """Like ``_list_writer``, for a dict; a non-str key raises TypeError."""
+    prefixes = _KeyPrefixes(pad + "  ")
+    close = pad + "}"
+
+    def write(obj: dict) -> str:
+        if not obj:
+            return "{}"
+        return "{" + ",".join([prefixes[key] + writers[type(value)](value)
+                               for key, value in obj.items()]) + close
+    return write
+
+
+def _records_writer() -> Callable[[list], str]:
+    """Writer of a report's records list: dicts whose values are scalars,
+    lists of scalars or dicts (a record's ``case``) of those two."""
+    case = _dict_writer("\n      ", {
+        **_SCALAR_JSON, list: _list_writer("\n        ", _SCALAR_JSON)})
+    record = _dict_writer("\n    ", {
+        **_SCALAR_JSON, list: _list_writer("\n      ", _SCALAR_JSON), dict: case})
+    return _list_writer("\n  ", {dict: record})
+
+
 def canonical_json(obj) -> str:
     """The one JSON serialization used everywhere: re-serializing a parsed
-    report must reproduce it byte for byte."""
+    report must reproduce it byte for byte.
+
+    The text is always ``json.dumps(obj, indent=2)``, whose pure-Python
+    encoder is slow on the thousands of small records of a report. So a
+    report's ``records`` are written here and spliced into the rest of the
+    report, dumped with an empty list in their place. Anything outside the
+    record shape (a non-str key, a float, a tuple, a nested list, a dict
+    below a record's ``case``) sends the whole object through ``json.dumps``.
+    """
+    records = obj.get("records") if type(obj) is dict else None
+    if type(records) is list:
+        try:
+            body = _records_writer()(records)
+        except (KeyError, TypeError):  # a value outside the record shape
+            pass
+        else:
+            shell = json.dumps({**obj, "records": []}, indent=2)
+            at = shell.index(_RECORDS_SLOT) + len(_RECORDS_SLOT) - 2
+            return "".join((shell[:at], body, shell[at + 2:], "\n"))
     return json.dumps(obj, indent=2) + "\n"
 
 
@@ -197,6 +295,7 @@ def _finish(args: argparse.Namespace, params: tuple[str, ...], records: list[dic
 
 def cmd_seq(args: argparse.Namespace) -> int:
     conv = _CONVENTIONS[args.convention]
+    _check_cap(args.hi - args.lo + 1, "terms", "--from or --to")
     values = terms_range(args.n, conv, args.lo, args.hi)
     if args.format == "json":
         payload = {
@@ -225,26 +324,39 @@ def _verification_dict(rec: VerificationRecord, trial: int | None = None) -> dic
     return _record_dict(case_to_dict(rec.case, trial), rec.lhs, rec.rhs, rec.passed)
 
 
-def _verify_sweep(kind: str, args: argparse.Namespace, conventions,
-                  rng: Random, base_matrix: IntMatrix | None) -> list[dict]:
+def _verify_grid(kind: str, args: argparse.Namespace,
+                 base_matrix: IntMatrix | None) -> dict[str, range]:
+    """The validated ranges a sweep of ``kind`` runs over, by axis name."""
     if kind == GEN_DOCAGNE:
-        r_values = parse_range(args.r)
-        if base_matrix is not None:
-            return [_verification_dict(generalized_docagne(base_matrix, r))
-                    for r in r_values]
-        if args.n is None:
-            raise UsageError("--n is required (or pass --matrix)")
-        records: list[dict] = []
-        for n in parse_range(args.n):
-            for r in r_values:
-                for trial in range(1, args.trials + 1):
-                    a = random_matrix(rng, n, args.bound)
-                    records.append(_verification_dict(generalized_docagne(a, r), trial))
-        return records
-
+        grid = {"r": parse_range(args.r)}
+        if base_matrix is None:
+            if args.n is None:
+                raise UsageError("--n is required (or pass --matrix)")
+            grid.update(n=parse_range(args.n), trial=range(1, args.trials + 1))
+        return grid
     if args.n is None:
         raise UsageError("--n is required")
-    grid = {axis: parse_range(getattr(args, axis)) for axis in ("n", "r", "s", "p", "q")}
+    return {axis: parse_range(getattr(args, axis)) for axis in ("n", "r", "s", "p", "q")}
+
+
+def _verify_size(kind: str, grid: dict[str, range], conventions) -> int:
+    """Records the sweep of ``kind`` over ``grid`` yields (without listing
+    the ranges, whose len() overflows past sys.maxsize)."""
+    if kind == GEN_DOCAGNE:
+        return prod(values.stop - values.start for values in grid.values())
+    axes = ("n", "r", *FAMILIES[kind].axes)
+    return prod(grid[axis].stop - grid[axis].start for axis in axes) * len(conventions)
+
+
+def _verify_sweep(kind: str, grid: dict[str, range], conventions, rng: Random,
+                  bound: int, base_matrix: IntMatrix | None) -> list[dict]:
+    if kind == GEN_DOCAGNE:
+        if base_matrix is not None:
+            return [_verification_dict(generalized_docagne(base_matrix, r))
+                    for r in grid["r"]]
+        return [_verification_dict(
+                    generalized_docagne(random_matrix(rng, n, bound), r), trial)
+                for n in grid["n"] for r in grid["r"] for trial in grid["trial"]]
     family = FAMILIES[kind]
     # Call the verifier through the name this module imports it under: the
     # benchmark's tracer patches those names (nstepdet.cli.verify_*).
@@ -266,10 +378,13 @@ def cmd_verify(args: argparse.Namespace) -> int:
         if kinds != ["gen-docagne"]:
             raise UsageError("--matrix is only valid with the gen-docagne kind")
         base_matrix = parse_matrix(args.matrix)
+    grids = {kind: _verify_grid(kind, args, base_matrix) for kind in kinds}
+    _check_cap(sum(_verify_size(kind, grid, conventions) for kind, grid in grids.items()),
+               "records", "the ranges or --trials")
     rng = Random(args.seed)
     records: list[dict] = []
-    for kind in kinds:
-        records.extend(_verify_sweep(kind, args, conventions, rng, base_matrix))
+    for kind, grid in grids.items():
+        records.extend(_verify_sweep(kind, grid, conventions, rng, args.bound, base_matrix))
     return _finish(args, ("kind", "n", "r", "s", "p", "q", "convention", "trials",
                           "bound", "matrix", "seed"), records, {}, started)
 
@@ -297,10 +412,7 @@ def cmd_prop1(args: argparse.Namespace) -> int:
     for n in n_values:
         for r in r_values:
             due += trials * comb(n + r - 1, r)
-            if due > PROP1_MAX_RECORDS:
-                raise UsageError(
-                    f"the grid asks for more than {PROP1_MAX_RECORDS} records;"
-                    " narrow --n, --r or --trials")
+            _check_cap(due, "records", "--n, --r or --trials")
     rng = Random(args.seed)
     records: list[dict] = []
     for n in n_values:

@@ -157,6 +157,8 @@ def extend_columns(a: IntMatrix, r: int) -> IntMatrix:
 
     Column n+j of the result is the entrywise sum of columns j..n+j-1, so
     every appended column satisfies the n-term recurrence over columns.
+    After the first, each is got from a running total: the window sum
+    ending at column m+1 is 2 * col_m - col_(m-n).
     """
     if not a.is_square:
         raise DimensionError(f"extend_columns needs a square matrix, got {a.rows}x{a.cols}")
@@ -164,9 +166,9 @@ def extend_columns(a: IntMatrix, r: int) -> IntMatrix:
     check_at_least(2, n=n)
     check_at_least(1, r=r)
     cols = [list(a.column(k)) for k in range(1, n + 1)]
-    for j in range(r):
-        window = cols[j:j + n]
-        cols.append([sum(vals) for vals in zip(*window)])
+    cols.append([sum(vals) for vals in zip(*cols)])
+    for j in range(r - 1):
+        cols.append([2 * last - first for last, first in zip(cols[-1], cols[j])])
     return IntMatrix.from_columns(cols)
 
 

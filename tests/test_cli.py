@@ -1,8 +1,10 @@
 import hashlib
 import json
 import time
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from nstepdet.cli import (
     EXIT_FAIL,
@@ -24,6 +26,13 @@ def run(capsys, *argv):
 def run_json(capsys, *argv):
     code, out, err = run(capsys, *argv)
     return code, json.loads(out), out
+
+
+def full_dumps(calls):
+    """Objects that ``json.dumps`` was handed with a non-empty records list:
+    reports that ``canonical_json`` did not write through its emitter."""
+    return [c.args[0] for c in calls
+            if isinstance(c.args[0], dict) and c.args[0].get("records")]
 
 
 def without_timings(report):
@@ -95,6 +104,19 @@ class TestSeq:
     def test_missing_flag_is_usage_error(self, capsys):
         code, _, _ = run(capsys, "seq", "--n", "2", "--from", "1")
         assert code == EXIT_USAGE
+
+    def test_oversized_window_rejected_before_work(self, capsys, monkeypatch):
+        def no_work(*args):
+            raise AssertionError("the window check must come before any work")
+
+        monkeypatch.setattr("nstepdet.cli.terms_range", no_work)
+        started = time.perf_counter()
+        code, out, err = run(capsys, "seq", "--n", "2", "--from", "-1000000000",
+                             "--to", "1000000000")
+        assert code == EXIT_USAGE
+        assert out == ""
+        assert "terms" in err
+        assert time.perf_counter() - started < 5.0
 
 
 class TestVerify:
@@ -186,6 +208,33 @@ class TestVerify:
         assert code == EXIT_USAGE
         assert out == ""
         assert "nothing was checked" in err
+
+    def test_oversized_sweep_rejected_before_work(self, capsys, monkeypatch):
+        def no_work(*args):
+            raise AssertionError("the sweep check must come before any work")
+
+        for name in ("family_records", "generalized_docagne", "random_matrix"):
+            monkeypatch.setattr(f"nstepdet.cli.{name}", no_work)
+        for flags in (("cassini", "--n", "2", "--r", "1..100000000"),
+                      ("all", "--n", "2..3", "--r", "1..10000000000000000000000"),
+                      ("gen-docagne", "--n", "2", "--r", "1..1000", "--trials", "1001"),
+                      ("gen-docagne", "--matrix", "1 2; 0 1", "--r", "1..1000001")):
+            started = time.perf_counter()
+            code, out, err = run(capsys, "verify", *flags)
+            assert code == EXIT_USAGE, flags
+            assert out == ""
+            assert "records" in err
+            assert time.perf_counter() - started < 5.0
+
+    def test_sweep_at_the_cap_is_not_rejected(self, capsys, monkeypatch):
+        # 1000 x 1000 records is exactly the cap: the sweep starts.
+        def stop(*args):
+            raise RuntimeError("sweep started")
+
+        monkeypatch.setattr("nstepdet.cli.random_matrix", stop)
+        with pytest.raises(RuntimeError, match="sweep started"):
+            main(["verify", "gen-docagne", "--n", "2", "--r", "1..1000",
+                  "--trials", "1000"])
 
     def test_csv_output(self, capsys):
         code, out, _ = run(capsys, "verify", "cassini", "--n", "2", "--r", "1",
@@ -380,6 +429,87 @@ class TestReportShape:
         assert code == EXIT_USAGE
 
 
+# Strings that need escaping, non-ASCII text and lone surrogates.
+TEXT = st.text(st.one_of(st.sampled_from('"\\/\b\f\n\r\t\x00\x1f\x7f\u00e9\u2028\ud800'),
+                         st.characters(blacklist_categories=())), max_size=8)
+SCALARS = st.one_of(TEXT, st.integers(), st.integers(-10**80, 10**80), st.booleans(),
+                    st.none())
+VALUES = st.one_of(SCALARS, st.lists(SCALARS, max_size=4))
+CASE_KEYS = st.sampled_from(
+    ["kind", "task", "n", "r", "s", "p", "q", "k", "order", "trial", "deleted",
+     "convention"])
+CASES = st.dictionaries(st.one_of(CASE_KEYS, TEXT), VALUES, max_size=6)
+RECORDS = st.dictionaries(
+    st.one_of(st.sampled_from(["case", "lhs", "rhs", "pass"]), TEXT),
+    st.one_of(VALUES, CASES), max_size=6)
+REPORTS = st.fixed_dictionaries({
+    "version": TEXT,
+    "command": TEXT,
+    "params": st.dictionaries(TEXT, VALUES, max_size=4),
+    "records": st.lists(RECORDS, max_size=5),
+    "summary": st.dictionaries(TEXT, st.integers(), max_size=3),
+    "timings_ms": st.dictionaries(TEXT, st.floats(), max_size=3),
+})
+
+
+class TestRecordEmitter:
+    """``canonical_json`` writes report records itself; its text must be
+    exactly what ``json.dumps(indent=2)`` writes."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(report=REPORTS)
+    def test_equals_json_dumps(self, report):
+        expected = json.dumps(report, indent=2) + "\n"
+        with mock.patch.object(json, "dumps", wraps=json.dumps) as dumps:
+            assert canonical_json(report) == expected
+        assert full_dumps(dumps.call_args_list) == []
+
+    @pytest.mark.parametrize("record", [
+        {1: "non-str key"},
+        {True: "bool key"},
+        {"case": {None: "non-str key in case"}},
+        {"lhs": 1.5},
+        {"case": {"n": float("nan")}},
+        {"deleted": [1, 2.0]},
+        {"deleted": (1, 2)},
+        {"deleted": [[1], 2]},
+        {"deleted": [{"a": 1}]},
+        {"case": {"inner": {"n": 1}}},
+        {"case": {"inner": {}}},
+        {"lhs": type("Digits", (str,), {})("12")},
+        {"lhs": type("Big", (int,), {})(12)},
+        "a record that is not a dict",
+        None,
+        [],
+    ], ids=repr)
+    def test_out_of_shape_record_takes_json_dumps(self, record):
+        report = {"version": "1", "records": [{"lhs": "1"}, record], "summary": {}}
+        with mock.patch.object(json, "dumps", wraps=json.dumps) as dumps:
+            text = canonical_json(report)
+        assert full_dumps(dumps.call_args_list) == [report]
+        assert text == json.dumps(report, indent=2) + "\n"
+
+    def test_slot_text_inside_keys_and_strings(self):
+        report = {"a\"records": [], "records": [{"x": '\n  "records": []'}],
+                  "z": {"records": []}}
+        assert canonical_json(report) == json.dumps(report, indent=2) + "\n"
+
+    @pytest.mark.parametrize("argv", [
+        "prop1 --n 2..4 --r 1..3 --trials 2 --format json",
+        "prop1 --matrix 1_2;_0_1 --r 1..2 --format json",
+        "verify all --n 2..3 --r 1..3 --s 1..2 --p 1..2 --q 1..2 --trials 2"
+        " --convention both --format json",
+        "bench bareiss-vs-laplace --order 3 --trials 2 --format json",
+    ])
+    def test_reports_never_fall_back(self, capsys, argv):
+        with mock.patch.object(json, "dumps", wraps=json.dumps) as dumps:
+            code, out, _ = run(capsys, *[a.replace("_", " ") for a in argv.split()])
+        assert code in (EXIT_OK, EXIT_FAIL)
+        assert dumps.call_count == 1
+        assert full_dumps(dumps.call_args_list) == []
+        assert out == json.dumps(json.loads(out), indent=2) + "\n"
+
+
 class TestGoldenReports:
     """SHA-256 of reports that no benchmark golden pins, with ``timings_ms``
     removed from JSON reports."""
@@ -395,6 +525,8 @@ class TestGoldenReports:
             EXIT_OK, "f2e0858c0b8dac68c26a6dd64a7e492bafbfd3633a29f15de06f1194e74b795c"),
         "seq --n 5 --convention paper --from -60 --to -3 --format csv": (
             EXIT_OK, "f49ef4e1813e9168bac7dfdb7f20fd7ac9ddf306ed34f54acf337e5e90959ddb"),
+        "prop1 --n 2..4 --r 1..4 --trials 3 --seed 9 --format json": (
+            EXIT_OK, "ad746e544d4f852017b67ddf011e9eeeb087e0bf60c739bb7e3edd90d155d369"),
     }
 
     @pytest.mark.parametrize("argv", GOLDEN)

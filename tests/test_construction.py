@@ -127,16 +127,22 @@ class TestExtendColumns:
             ext = extend_columns(IntMatrix.identity(n), 1)
             assert ext.column(n + 1) == (1,) * n
 
-    def test_every_new_column_satisfies_recurrence(self):
-        rng = random.Random(11)
-        for _ in range(10):
-            n, r = rng.randint(2, 4), rng.randint(1, 5)
-            ext = extend_columns(random_square(rng, n), r)
-            for k in range(n + 1, n + r + 1):
-                total = tuple(
-                    sum(vals) for vals in zip(
-                        *(ext.column(k - j) for j in range(1, n + 1))))
-                assert ext.column(k) == total
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data(), n=st.integers(2, 6), r=st.integers(1, 40))
+    def test_every_new_column_satisfies_recurrence(self, data, n, r):
+        # Oracle: each appended column re-summed from its n predecessors,
+        # independent of the running total extend_columns keeps.
+        entries = st.lists(st.integers(-99, 99), min_size=n, max_size=n)
+        a = M(data.draw(st.lists(entries, min_size=n, max_size=n)))
+        ext = extend_columns(a, r)
+        assert (ext.rows, ext.cols) == (n, n + r)
+        assert [ext.column(k) for k in range(1, n + 1)] == [
+            a.column(k) for k in range(1, n + 1)]
+        for k in range(n + 1, n + r + 1):
+            total = tuple(
+                sum(vals) for vals in zip(
+                    *(ext.column(k - j) for j in range(1, n + 1))))
+            assert ext.column(k) == total
 
     def test_agrees_with_sum_columns(self):
         a = M([[3, -1, 2], [0, 4, 1], [5, 2, -2]])
