@@ -8,11 +8,10 @@ more than ``MAX_RECORDS`` records or terms. Big integers are serialized as
 decimal strings, never as native numbers. Given identical flags and seed,
 all output except wall-time fields is byte-identical across runs.
 
-``canonical_json`` is the one JSON serializer; its text is always that of
-``json.dumps(obj, indent=2)``. Because that call runs the pure-Python
-encoder, a report's records are written by a small emitter of their fixed
-shape and spliced into the rest of the report, which ``json.dumps`` writes;
-any value outside that shape sends the whole object to ``json.dumps``.
+Every JSON report (``seq``, ``verify``, ``prop1``, ``bench``) is written by
+``canonical_json``, one writer keyed on each value's type whose text is
+always that of ``json.dumps(obj, indent=2)``; no report goes through
+``json.dumps`` itself.
 """
 
 from __future__ import annotations
@@ -20,13 +19,11 @@ from __future__ import annotations
 import argparse
 import csv
 import io
-import json
 import sys
 import time
 from json.encoder import encode_basestring_ascii
 from math import comb, prod
 from random import Random
-from typing import Callable
 
 from . import __version__
 from .exact_linalg import IntMatrix, check_at_least, det_bareiss, det_laplace, parse_matrix
@@ -94,23 +91,20 @@ def random_matrix(rng: Random, order: int, bound: int) -> IntMatrix:
         [[rng.randint(-bound, bound) for _ in range(order)] for _ in range(order)])
 
 
-# A report dumped with an empty records list holds this text exactly once:
-# a top-level key follows a newline and two spaces, which no string (its
-# newlines are escaped) and no nested key (indented deeper) can produce.
-_RECORDS_SLOT = '\n  "records": []'
-
-# JSON text of each scalar type a record may hold, by exact type. Every
-# writer is a C-level callable, which keeps the cost per value low.
+# JSON text of each scalar type, by exact type, as ``json.dumps`` spells it
+# (a finite float's repr holds no "inf" or "nan").
 _SCALAR_JSON = {
     str: encode_basestring_ascii,
     int: int.__repr__,
+    float: lambda value: repr(value).replace("inf", "Infinity").replace("nan", "NaN"),
     bool: {False: "false", True: "true"}.__getitem__,
     type(None): {None: "null"}.__getitem__,
 }
 
 
 class _KeyPrefixes(dict):
-    """Start of each key's line at one indentation, made on first use."""
+    """Start of each key's line at one indentation, made on first use; a
+    non-str key raises TypeError."""
 
     def __init__(self, pad: str):
         super().__init__()
@@ -121,83 +115,70 @@ class _KeyPrefixes(dict):
         return prefix
 
 
-def _list_writer(pad: str, writers: dict) -> Callable[[list], str]:
-    """Writer of a list at indentation ``pad`` (a newline and spaces) as
-    ``json.dumps(indent=2)`` lays it out; ``writers`` writes each item by
-    its exact type and raises KeyError for any other type."""
+def _container_writers(depth: int, end: str = "") -> dict:
+    """Writers of a list and of a dict at indentation ``depth``, laid out as
+    ``json.dumps(indent=2)`` does and followed by ``end``. Each text is made
+    by one join over its items' texts, never by wrapping joined text, so a
+    large report is not copied again at each level."""
+    pad = "\n" + "  " * depth
     inner = pad + "  "
-    sep = "," + inner
-    close = pad + "]"
+    sep, list_open = "," + inner, "[" + inner
+    list_close, dict_close = pad + "]" + end, pad + "}" + end
+    prefixes = _KeyPrefixes(inner)
 
-    def write(items: list) -> str:
+    def write_list(items: list) -> str:
         if not items:
-            return "[]"
-        return "[" + inner + sep.join([writers[type(v)](v) for v in items]) + close
-    return write
+            return "[]" + end
+        writers = _WRITERS[depth + 1]
+        parts = [writers[type(v)](v) for v in items]
+        parts[0] = list_open + parts[0]
+        parts[-1] += list_close
+        return sep.join(parts)
 
-
-def _dict_writer(pad: str, writers: dict) -> Callable[[dict], str]:
-    """Like ``_list_writer``, for a dict; a non-str key raises TypeError."""
-    prefixes = _KeyPrefixes(pad + "  ")
-    close = pad + "}"
-
-    def write(obj: dict) -> str:
+    def write_dict(obj: dict) -> str:
         if not obj:
-            return "{}"
-        return "{" + ",".join([prefixes[key] + writers[type(value)](value)
-                               for key, value in obj.items()]) + close
-    return write
+            return "{}" + end
+        writers = _WRITERS[depth + 1]
+        parts = ["{"]
+        for key, value in obj.items():
+            parts += (prefixes[key], writers[type(value)](value), ",")
+        parts[-1] = dict_close
+        return "".join(parts)
+    return {list: write_list, dict: write_dict}
 
 
-def _records_writer() -> Callable[[list], str]:
-    """Writer of a report's records list: dicts whose values are scalars,
-    lists of scalars or dicts (a record's ``case``) of those two."""
-    case = _dict_writer("\n      ", {
-        **_SCALAR_JSON, list: _list_writer("\n        ", _SCALAR_JSON)})
-    record = _dict_writer("\n    ", {
-        **_SCALAR_JSON, list: _list_writer("\n      ", _SCALAR_JSON), dict: case})
-    return _list_writer("\n  ", {dict: record})
+class _Writers(dict):
+    """Writer of each JSON value type, by exact type, for the values at one
+    indentation depth; each depth's table is made on first use."""
+
+    def __missing__(self, depth: int) -> dict:
+        table = self[depth] = {**_SCALAR_JSON, **_container_writers(depth)}
+        return table
+
+
+# Depth 0 holds only the document, an object or an array, whose text also
+# ends with the document's newline. The tables are shared by all documents:
+# building them per document cost tens of microseconds per report and
+# measured higher peak memory over repeated large `seq` reports.
+_WRITERS = _Writers({0: _container_writers(0, "\n")})
 
 
 def canonical_json(obj) -> str:
-    """The one JSON serialization used everywhere: re-serializing a parsed
-    report must reproduce it byte for byte.
+    """The one JSON serialization used everywhere: the text of
+    ``json.dumps(obj, indent=2)`` plus a newline, so re-serializing a parsed
+    report reproduces it byte for byte.
 
-    The text is always ``json.dumps(obj, indent=2)``, whose pure-Python
-    encoder is slow on the thousands of small records of a report. So a
-    report's ``records`` are written here and spliced into the rest of the
-    report, dumped with an empty list in their place. Anything outside the
-    record shape (a non-str key, a float, a tuple, a nested list, a dict
-    below a record's ``case``) sends the whole object through ``json.dumps``.
+    ``json.dumps(indent=2)`` runs the pure-Python encoder, slow on the
+    thousands of small records of a report, so the text is written here by
+    one writer per value type. ``obj`` is a dict or a list; the values in it
+    are dicts with str keys, lists, str, int, float, bool and None, by exact
+    type. Anything else (a tuple, a non-str key, a str or int subclass)
+    raises TypeError.
     """
-    records = obj.get("records") if type(obj) is dict else None
-    if type(records) is list:
-        try:
-            body = _records_writer()(records)
-        except (KeyError, TypeError):  # a value outside the record shape
-            pass
-        else:
-            shell = json.dumps({**obj, "records": []}, indent=2)
-            at = shell.index(_RECORDS_SLOT) + len(_RECORDS_SLOT) - 2
-            return "".join((shell[:at], body, shell[at + 2:], "\n"))
-    return json.dumps(obj, indent=2) + "\n"
-
-
-def build_report(command: str, params: dict, records: list[dict],
-                 timings_ms: dict) -> dict:
-    passed = sum(1 for rec in records if rec["pass"])
-    return {
-        "version": __version__,
-        "command": command,
-        "params": params,
-        "records": records,
-        "summary": {
-            "total": len(records),
-            "passed": passed,
-            "failed": len(records) - passed,
-        },
-        "timings_ms": timings_ms,
-    }
+    try:
+        return _WRITERS[0][type(obj)](obj)
+    except KeyError as exc:  # a value of a type no writer takes
+        raise TypeError(f"{exc.args[0].__name__} is not JSON serializable") from None
 
 
 def _elide(value: str, limit: int = 24) -> str:
@@ -251,20 +232,6 @@ def _write_output(text: str, out: str | None, summary_line: str | None = None) -
         sys.stdout.write(text)
 
 
-def emit_report(report: dict, fmt: str, out: str | None) -> None:
-    if fmt == "json":
-        text = canonical_json(report)
-    elif fmt == "csv":
-        text = report_to_csv(report)
-    else:
-        text = report_to_table(report)
-    summary = report["summary"]
-    _write_output(
-        text, out,
-        f"total={summary['total']} passed={summary['passed']}"
-        f" failed={summary['failed']}")
-
-
 def _record_dict(case: dict, lhs: int, rhs: int, passed: bool) -> dict:
     return {"case": case, "lhs": str(lhs), "rhs": str(rhs), "pass": passed}
 
@@ -283,10 +250,15 @@ def _finish(args: argparse.Namespace, params: tuple[str, ...], records: list[dic
     if not records:
         raise UsageError("the sweep produced no records, so nothing was checked")
     timings["total"] = (time.perf_counter() - started) * 1000.0
-    report = build_report(
-        args.command, {key: getattr(args, key) for key in params}, records, timings)
-    emit_report(report, args.format, args.out)
-    return EXIT_OK if all(rec["pass"] for rec in records) else EXIT_FAIL
+    passed = sum(1 for rec in records if rec["pass"])
+    summary = {"total": len(records), "passed": passed, "failed": len(records) - passed}
+    report = {"version": __version__, "command": args.command,
+              "params": {key: getattr(args, key) for key in params},
+              "records": records, "summary": summary, "timings_ms": timings}
+    write = {"json": canonical_json, "csv": report_to_csv}.get(args.format, report_to_table)
+    _write_output(write(report), args.out,
+                  " ".join(f"{key}={value}" for key, value in summary.items()))
+    return EXIT_OK if passed == len(records) else EXIT_FAIL
 
 
 # --------------------------------------------------------------------------
@@ -441,15 +413,20 @@ def cmd_prop1(args: argparse.Namespace) -> int:
 # bench
 
 
+def _size(values: list[int] | range) -> int:
+    """len() of a ``parse_sizes`` result, which overflows for a huge range."""
+    return values.stop - values.start if type(values) is range else len(values)
+
+
 def cmd_bench(args: argparse.Namespace) -> int:
     started = time.perf_counter()
     records: list[dict] = []
     timings: dict = {}
     if args.task == "term-fast-vs-iter":
         conv = _CONVENTIONS[args.convention]
-        for k in parse_sizes(args.k):
-            if k < 1:
-                raise UsageError(f"--k values must be >= 1, got {k}")
+        ks = parse_sizes(args.k)
+        _check_cap(_size(ks), "records", "--k")
+        for k in ks:
             t0 = time.perf_counter()
             slow = term(args.n, conv, k)
             t1 = time.perf_counter()
@@ -462,11 +439,14 @@ def cmd_bench(args: argparse.Namespace) -> int:
             records.append(_record_dict(case, fast, slow, fast == slow))
     else:  # bareiss-vs-laplace
         _check_trials_bound(args)
+        orders = parse_sizes(args.order)
+        _check_cap(_size(orders) * args.trials, "records", "--order or --trials")
+        bad = [order for order in orders if not 1 <= order <= 8]
+        if bad:
+            raise UsageError(
+                f"--order must lie in 1..8 (cofactor oracle limit), got {bad[0]}")
         rng = Random(args.seed)
-        for order in parse_sizes(args.order):
-            if not 1 <= order <= 8:
-                raise UsageError(
-                    f"--order must lie in 1..8 (cofactor oracle limit), got {order}")
+        for order in orders:
             bareiss_ms = 0.0
             laplace_ms = 0.0
             for trial in range(1, args.trials + 1):
@@ -496,8 +476,6 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
                         default="table", help="report format")
     parser.add_argument("--out", metavar="FILE", default=None,
                         help="write the report to FILE instead of stdout")
-    parser.add_argument("--seed", type=int, default=0,
-                        help="seed for the deterministic random generator")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -534,6 +512,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--matrix", default=None,
                    help="explicit base matrix literal, e.g. '1 2; 0 1' (gen-docagne)")
     _add_common(p)
+    p.add_argument("--seed", type=int, default=0, help="seed for the random matrices")
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("prop1", help="exhaustive signed-minor product-rule check")
@@ -546,6 +525,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--matrix", default=None,
                    help="check one explicit matrix instead of random ones")
     _add_common(p)
+    p.add_argument("--seed", type=int, default=0, help="seed for the random matrices")
     p.set_defaults(func=cmd_prop1)
 
     p = sub.add_parser("bench", help="time the two engines and check agreement")
@@ -560,6 +540,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--bound", type=int, default=9, help="entry bound (det bench)")
     p.add_argument("--convention", choices=("classic", "paper"), default="classic")
     _add_common(p)
+    p.add_argument("--seed", type=int, default=0, help="seed for the random matrices")
     p.set_defaults(func=cmd_bench)
 
     return parser

@@ -189,9 +189,11 @@ def minor_by_deletion(aext: IntMatrix, deleted: Iterable[int]) -> IntMatrix:
 
 def sign_from_deleted(n: int, r: int, deleted: Iterable[int]) -> int:
     """Minor sign from the deleted indices: parity of nr + sum(j) + r(r-1)/2."""
-    sel = minor_selection(n, r, deleted)
-    exponent = n * r + sum(sel.deleted) + r * (r - 1) // 2
-    return 1 if exponent % 2 == 0 else -1
+    return _deleted_sign(minor_selection(n, r, deleted))
+
+
+def _deleted_sign(sel: MinorSelection) -> int:
+    return -1 if (sel.n * sel.r + sum(sel.deleted) + sel.r * (sel.r - 1) // 2) % 2 else 1
 
 
 def sign_from_kept(n: int, kept: Iterable[int]) -> int:
@@ -205,16 +207,20 @@ def sign_from_kept(n: int, kept: Iterable[int]) -> int:
         raise SelectionError(f"kept indices must be strictly ascending: {list(kept)}")
     if kept and kept[0] < 1:
         raise SelectionError(f"column index {kept[0]} below 1")
-    exponent = n * (n - 1) // 2 + sum(kept)
-    return 1 if exponent % 2 == 0 else -1
+    return _kept_sign(n, kept)
+
+
+def _kept_sign(n: int, kept: tuple[int, ...]) -> int:
+    return -1 if (n * (n - 1) // 2 + sum(kept)) % 2 else 1
 
 
 def _checked_sign(sel: MinorSelection) -> int:
-    """The minor's sign from the deleted indices, cross-checked against the
-    kept ones. The two formulas are equivalent; disagreement means a bug
-    here, so it raises (explicitly, so the check survives ``python -O``)."""
-    sign = sign_from_deleted(sel.n, sel.r, sel.deleted)
-    if sign != sign_from_kept(sel.n, sel.kept[:-1]):
+    """The minor's sign from the deleted indices of a validated selection,
+    cross-checked against the kept ones. The two formulas are equivalent;
+    disagreement means a bug here, so it raises (explicitly, so the check
+    survives ``python -O``)."""
+    sign = _deleted_sign(sel)
+    if sign != _kept_sign(sel.n, sel.kept[:-1]):
         raise ArithmeticError(
             f"sign formulas disagree for n={sel.n}, r={sel.r},"
             f" deleted={list(sel.deleted)}")

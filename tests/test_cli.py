@@ -1,3 +1,4 @@
+import contextlib
 import hashlib
 import json
 import time
@@ -26,13 +27,6 @@ def run(capsys, *argv):
 def run_json(capsys, *argv):
     code, out, err = run(capsys, *argv)
     return code, json.loads(out), out
-
-
-def full_dumps(calls):
-    """Objects that ``json.dumps`` was handed with a non-empty records list:
-    reports that ``canonical_json`` did not write through its emitter."""
-    return [c.args[0] for c in calls
-            if isinstance(c.args[0], dict) and c.args[0].get("records")]
 
 
 def without_timings(report):
@@ -100,6 +94,12 @@ class TestSeq:
         code, _, err = run(capsys, "seq", "--n", "2", "--from", "5", "--to", "3")
         assert code == EXIT_USAGE
         assert "error" in err
+
+    def test_seed_flag_is_usage_error(self, capsys):
+        code, out, _ = run(capsys, "seq", "--n", "2", "--from", "1", "--to", "3",
+                           "--seed", "1")
+        assert code == EXIT_USAGE
+        assert out == ""
 
     def test_missing_flag_is_usage_error(self, capsys):
         code, _, _ = run(capsys, "seq", "--n", "2", "--from", "1")
@@ -363,13 +363,36 @@ class TestBench:
         code, _, _ = run(capsys, "bench", "sort-vs-bogosort")
         assert code == EXIT_USAGE
 
-    def test_bad_k_is_usage_error(self, capsys):
-        code, _, _ = run(capsys, "bench", "term-fast-vs-iter", "--k", "0")
-        assert code == EXIT_USAGE
+    def test_non_positive_k_gives_passing_records(self, capsys):
+        # Both engines take any integer index.
+        code, report, _ = run_json(
+            capsys, "bench", "term-fast-vs-iter", "--n", "3", "--k=-7,0",
+            "--format", "json")
+        assert code == EXIT_OK
+        assert [rec["case"]["k"] for rec in report["records"]] == [-7, 0]
+        assert all(rec["pass"] for rec in report["records"])
 
     def test_order_beyond_oracle_guard(self, capsys):
         code, _, _ = run(capsys, "bench", "bareiss-vs-laplace", "--order", "9")
         assert code == EXIT_USAGE
+
+    @pytest.mark.parametrize("argv, message", [
+        ("bench bareiss-vs-laplace --order 3,9", "--order"),
+        ("bench bareiss-vs-laplace --order 1 --trials 3000000", "1000000 records"),
+        ("bench term-fast-vs-iter --k 1..2000000", "1000000 records"),
+    ])
+    def test_bad_run_rejected_before_work(self, capsys, monkeypatch, argv, message):
+        def no_work(*args):
+            raise AssertionError("the run's checks must come before any work")
+
+        for name in ("random_matrix", "term", "term_fast"):
+            monkeypatch.setattr(f"nstepdet.cli.{name}", no_work)
+        started = time.perf_counter()
+        code, out, err = run(capsys, *argv.split())
+        assert code == EXIT_USAGE
+        assert out == ""
+        assert message in err
+        assert time.perf_counter() - started < 5.0
 
     def test_bad_trials_or_bound_is_usage_error(self, capsys):
         for flags in (("--trials", "0"), ("--bound", "-2")):
@@ -432,62 +455,76 @@ class TestReportShape:
 # Strings that need escaping, non-ASCII text and lone surrogates.
 TEXT = st.text(st.one_of(st.sampled_from('"\\/\b\f\n\r\t\x00\x1f\x7f\u00e9\u2028\ud800'),
                          st.characters(blacklist_categories=())), max_size=8)
+# Floats include NaN and both infinities.
 SCALARS = st.one_of(TEXT, st.integers(), st.integers(-10**80, 10**80), st.booleans(),
-                    st.none())
-VALUES = st.one_of(SCALARS, st.lists(SCALARS, max_size=4))
-CASE_KEYS = st.sampled_from(
-    ["kind", "task", "n", "r", "s", "p", "q", "k", "order", "trial", "deleted",
-     "convention"])
-CASES = st.dictionaries(st.one_of(CASE_KEYS, TEXT), VALUES, max_size=6)
+                    st.none(), st.floats())
+# Lists and dicts nested at any depth.
+VALUES = st.recursive(SCALARS, lambda inner: st.one_of(
+    st.lists(inner, max_size=4), st.dictionaries(TEXT, inner, max_size=4)), max_leaves=12)
 RECORDS = st.dictionaries(
-    st.one_of(st.sampled_from(["case", "lhs", "rhs", "pass"]), TEXT),
-    st.one_of(VALUES, CASES), max_size=6)
-REPORTS = st.fixed_dictionaries({
-    "version": TEXT,
-    "command": TEXT,
-    "params": st.dictionaries(TEXT, VALUES, max_size=4),
-    "records": st.lists(RECORDS, max_size=5),
-    "summary": st.dictionaries(TEXT, st.integers(), max_size=3),
-    "timings_ms": st.dictionaries(TEXT, st.floats(), max_size=3),
-})
+    st.one_of(st.sampled_from(["case", "lhs", "rhs", "pass"]), TEXT), VALUES, max_size=6)
+DIGITS = st.integers(-10**80, 10**80).map(str)
+REPORTS = st.one_of(
+    st.fixed_dictionaries({
+        "version": TEXT,
+        "command": TEXT,
+        "params": st.dictionaries(TEXT, VALUES, max_size=4),
+        "records": st.lists(RECORDS, max_size=5),
+        "summary": st.dictionaries(TEXT, st.integers(), max_size=3),
+        "timings_ms": st.dictionaries(TEXT, st.floats(), max_size=3),
+    }),
+    st.fixed_dictionaries({
+        "version": TEXT,
+        "command": st.just("seq"),
+        "params": st.dictionaries(TEXT, st.integers(), max_size=4),
+        "terms": st.lists(DIGITS, max_size=30),
+    }),
+    st.lists(VALUES, max_size=4),
+    st.dictionaries(TEXT, VALUES, max_size=4),
+)
+
+
+@contextlib.contextmanager
+def no_json_encoder():
+    """Any use of the standard JSON encoder fails inside this block."""
+    fail = AssertionError("the standard JSON encoder was called")
+    with mock.patch.object(json, "dumps", side_effect=fail), \
+            mock.patch.object(json.JSONEncoder, "iterencode", side_effect=fail):
+        yield
 
 
 class TestRecordEmitter:
-    """``canonical_json`` writes report records itself; its text must be
-    exactly what ``json.dumps(indent=2)`` writes."""
+    """``canonical_json`` writes every report itself; its text must be
+    exactly what ``json.dumps(indent=2)`` writes, and any value that is not
+    JSON must raise TypeError."""
 
-    @settings(max_examples=100, deadline=None)
+    @settings(max_examples=200, deadline=None)
     @given(report=REPORTS)
     def test_equals_json_dumps(self, report):
         expected = json.dumps(report, indent=2) + "\n"
-        with mock.patch.object(json, "dumps", wraps=json.dumps) as dumps:
+        with no_json_encoder():
             assert canonical_json(report) == expected
-        assert full_dumps(dumps.call_args_list) == []
 
     @pytest.mark.parametrize("record", [
         {1: "non-str key"},
         {True: "bool key"},
         {"case": {None: "non-str key in case"}},
-        {"lhs": 1.5},
-        {"case": {"n": float("nan")}},
-        {"deleted": [1, 2.0]},
         {"deleted": (1, 2)},
-        {"deleted": [[1], 2]},
-        {"deleted": [{"a": 1}]},
-        {"case": {"inner": {"n": 1}}},
-        {"case": {"inner": {}}},
         {"lhs": type("Digits", (str,), {})("12")},
         {"lhs": type("Big", (int,), {})(12)},
-        "a record that is not a dict",
-        None,
-        [],
+        {"case": {"n": b"12"}},
+        {"deleted": [{1, 2}]},
+        {"terms": ["1", type("Digits", (str,), {})("2")]},
     ], ids=repr)
-    def test_out_of_shape_record_takes_json_dumps(self, record):
+    def test_non_json_raises(self, record):
         report = {"version": "1", "records": [{"lhs": "1"}, record], "summary": {}}
-        with mock.patch.object(json, "dumps", wraps=json.dumps) as dumps:
-            text = canonical_json(report)
-        assert full_dumps(dumps.call_args_list) == [report]
-        assert text == json.dumps(report, indent=2) + "\n"
+        with pytest.raises(TypeError):
+            canonical_json(report)
+
+    @pytest.mark.parametrize("document", ["text", 12, 1.5, None, ("a", "tuple")], ids=repr)
+    def test_document_must_be_object_or_array(self, document):
+        with pytest.raises(TypeError):
+            canonical_json(document)
 
     def test_slot_text_inside_keys_and_strings(self):
         report = {"a\"records": [], "records": [{"x": '\n  "records": []'}],
@@ -500,13 +537,13 @@ class TestRecordEmitter:
         "verify all --n 2..3 --r 1..3 --s 1..2 --p 1..2 --q 1..2 --trials 2"
         " --convention both --format json",
         "bench bareiss-vs-laplace --order 3 --trials 2 --format json",
+        "bench term-fast-vs-iter --n 3 --k 5,90 --format json",
+        "seq --n 4 --from -40 --to 40 --format json",
     ])
     def test_reports_never_fall_back(self, capsys, argv):
-        with mock.patch.object(json, "dumps", wraps=json.dumps) as dumps:
+        with no_json_encoder():
             code, out, _ = run(capsys, *[a.replace("_", " ") for a in argv.split()])
         assert code in (EXIT_OK, EXIT_FAIL)
-        assert dumps.call_count == 1
-        assert full_dumps(dumps.call_args_list) == []
         assert out == json.dumps(json.loads(out), indent=2) + "\n"
 
 

@@ -286,7 +286,7 @@ class TestCheckProp1:
             from nstepdet.exact_linalg import IntMatrix
             if not sys.flags.optimize:
                 sys.exit(3)
-            construction.sign_from_kept = lambda n, kept: 0
+            construction._kept_sign = lambda n, kept: 0
             a = IntMatrix.from_rows([[1, 2], [0, 1]])
             for check in (lambda: construction.check_prop1(a, 1, [1]),
                           lambda: construction.check_prop1_all([a], 1)):
