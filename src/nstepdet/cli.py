@@ -24,9 +24,18 @@ import time
 from json.encoder import encode_basestring_ascii
 from math import comb, prod
 from random import Random
+from typing import Callable
 
 from . import __version__
-from .exact_linalg import IntMatrix, check_at_least, det_bareiss, det_laplace, parse_matrix
+from .exact_linalg import (
+    LAPLACE_MAX_ORDER,
+    IntMatrix,
+    check_at_least,
+    check_square,
+    det_bareiss,
+    det_laplace,
+    parse_matrix,
+)
 from .nstep_seq import CLASSIC, PAPER_POWERS, term, term_fast, terms_range
 from .construction import check_prop1, check_prop1_all
 from .identities import (
@@ -77,6 +86,12 @@ def parse_sizes(text: str) -> list[int] | range:
     if "," in text:
         return [int(p) for p in text.split(",")]
     return parse_range(text)
+
+
+def _size(values: list[int] | range) -> int:
+    """len() of a ``parse_range`` or ``parse_sizes`` result, which
+    overflows past sys.maxsize for a huge range."""
+    return values.stop - values.start if type(values) is range else len(values)
 
 
 def _check_cap(due: int, unit: str, flags: str) -> None:
@@ -296,45 +311,34 @@ def _verification_dict(rec: VerificationRecord, trial: int | None = None) -> dic
     return _record_dict(case_to_dict(rec.case, trial), rec.lhs, rec.rhs, rec.passed)
 
 
-def _verify_grid(kind: str, args: argparse.Namespace,
-                 base_matrix: IntMatrix | None) -> dict[str, range]:
-    """The validated ranges a sweep of ``kind`` runs over, by axis name."""
+def _plan_sweep(kind: str, args: argparse.Namespace, conventions, rng: Random,
+                base_matrix: IntMatrix | None) -> tuple[int, Callable[[], list[dict]]]:
+    """The number of records the sweep of ``kind`` yields, and the sweep,
+    deferred so the caller can cap the total before any work starts."""
     if kind == GEN_DOCAGNE:
-        grid = {"r": parse_range(args.r)}
-        if base_matrix is None:
-            if args.n is None:
-                raise UsageError("--n is required (or pass --matrix)")
-            grid.update(n=parse_range(args.n), trial=range(1, args.trials + 1))
-        return grid
+        r_values = parse_range(args.r)
+        if base_matrix is not None:
+            return _size(r_values), lambda: [
+                _verification_dict(generalized_docagne(base_matrix, r)) for r in r_values]
+        if args.n is None:
+            raise UsageError("--n is required (or pass --matrix)")
+        n_values = parse_range(args.n)
+        trials = range(1, args.trials + 1)
+        return _size(n_values) * _size(r_values) * args.trials, lambda: [
+            _verification_dict(
+                generalized_docagne(random_matrix(rng, n, args.bound), r), trial)
+            for n in n_values for r in r_values for trial in trials]
     if args.n is None:
         raise UsageError("--n is required")
-    return {axis: parse_range(getattr(args, axis)) for axis in ("n", "r", "s", "p", "q")}
-
-
-def _verify_size(kind: str, grid: dict[str, range], conventions) -> int:
-    """Records the sweep of ``kind`` over ``grid`` yields (without listing
-    the ranges, whose len() overflows past sys.maxsize)."""
-    if kind == GEN_DOCAGNE:
-        return prod(values.stop - values.start for values in grid.values())
-    axes = ("n", "r", *FAMILIES[kind].axes)
-    return prod(grid[axis].stop - grid[axis].start for axis in axes) * len(conventions)
-
-
-def _verify_sweep(kind: str, grid: dict[str, range], conventions, rng: Random,
-                  bound: int, base_matrix: IntMatrix | None) -> list[dict]:
-    if kind == GEN_DOCAGNE:
-        if base_matrix is not None:
-            return [_verification_dict(generalized_docagne(base_matrix, r))
-                    for r in grid["r"]]
-        return [_verification_dict(
-                    generalized_docagne(random_matrix(rng, n, bound), r), trial)
-                for n in grid["n"] for r in grid["r"] for trial in grid["trial"]]
+    grid = {axis: parse_range(getattr(args, axis)) for axis in ("n", "r", "s", "p", "q")}
     family = FAMILIES[kind]
     # Call the verifier through the name this module imports it under: the
     # benchmark's tracer patches those names (nstepdet.cli.verify_*).
     verify = globals()[family.verify.__name__]
-    return [_verification_dict(rec)
-            for rec in family_records(verify, family.axes, grid, conventions)]
+    size = prod(_size(grid[axis]) for axis in ("n", "r", *family.axes))
+    return size * len(conventions), lambda: [
+        _verification_dict(rec)
+        for rec in family_records(verify, family.axes, grid, conventions)]
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
@@ -350,13 +354,10 @@ def cmd_verify(args: argparse.Namespace) -> int:
         if kinds != ["gen-docagne"]:
             raise UsageError("--matrix is only valid with the gen-docagne kind")
         base_matrix = parse_matrix(args.matrix)
-    grids = {kind: _verify_grid(kind, args, base_matrix) for kind in kinds}
-    _check_cap(sum(_verify_size(kind, grid, conventions) for kind, grid in grids.items()),
-               "records", "the ranges or --trials")
     rng = Random(args.seed)
-    records: list[dict] = []
-    for kind, grid in grids.items():
-        records.extend(_verify_sweep(kind, grid, conventions, rng, args.bound, base_matrix))
+    plans = [_plan_sweep(kind, args, conventions, rng, base_matrix) for kind in kinds]
+    _check_cap(sum(size for size, _ in plans), "records", "the ranges or --trials")
+    records = [rec for _, sweep in plans for rec in sweep()]
     return _finish(args, ("kind", "n", "r", "s", "p", "q", "convention", "trials",
                           "bound", "matrix", "seed"), records, {}, started)
 
@@ -371,9 +372,7 @@ def cmd_prop1(args: argparse.Namespace) -> int:
     r_values = parse_range(args.r)
     base_matrix = parse_matrix(args.matrix) if args.matrix else None
     if base_matrix is not None:
-        if not base_matrix.is_square:
-            raise UsageError("--matrix must be square")
-        n_values = [base_matrix.rows]
+        n_values = [check_square("--matrix", base_matrix)]
         trials = 1
     else:
         n_values = parse_range(args.n)
@@ -413,9 +412,10 @@ def cmd_prop1(args: argparse.Namespace) -> int:
 # bench
 
 
-def _size(values: list[int] | range) -> int:
-    """len() of a ``parse_sizes`` result, which overflows for a huge range."""
-    return values.stop - values.start if type(values) is range else len(values)
+def _add_ms(timings: dict, key: str, seconds: float) -> None:
+    """Add ``seconds`` to the milliseconds under ``key``, so a size listed
+    twice sums its runs instead of keeping the last."""
+    timings[key] = timings.get(key, 0.0) + seconds * 1000.0
 
 
 def cmd_bench(args: argparse.Namespace) -> int:
@@ -432,8 +432,8 @@ def cmd_bench(args: argparse.Namespace) -> int:
             t1 = time.perf_counter()
             fast = term_fast(args.n, conv, k)
             t2 = time.perf_counter()
-            timings[f"iter[k={k}]"] = (t1 - t0) * 1000.0
-            timings[f"fast[k={k}]"] = (t2 - t1) * 1000.0
+            _add_ms(timings, f"iter[k={k}]", t1 - t0)
+            _add_ms(timings, f"fast[k={k}]", t2 - t1)
             case = {"kind": "bench", "task": args.task, "n": args.n, "k": k,
                     "convention": args.convention}
             records.append(_record_dict(case, fast, slow, fast == slow))
@@ -441,14 +441,12 @@ def cmd_bench(args: argparse.Namespace) -> int:
         _check_trials_bound(args)
         orders = parse_sizes(args.order)
         _check_cap(_size(orders) * args.trials, "records", "--order or --trials")
-        bad = [order for order in orders if not 1 <= order <= 8]
+        bad = [order for order in orders if not 1 <= order <= LAPLACE_MAX_ORDER]
         if bad:
-            raise UsageError(
-                f"--order must lie in 1..8 (cofactor oracle limit), got {bad[0]}")
+            raise UsageError(f"--order must lie in 1..{LAPLACE_MAX_ORDER}"
+                             f" (cofactor oracle limit), got {bad[0]}")
         rng = Random(args.seed)
         for order in orders:
-            bareiss_ms = 0.0
-            laplace_ms = 0.0
             for trial in range(1, args.trials + 1):
                 a = random_matrix(rng, order, args.bound)
                 t0 = time.perf_counter()
@@ -456,13 +454,11 @@ def cmd_bench(args: argparse.Namespace) -> int:
                 t1 = time.perf_counter()
                 dl = det_laplace(a)
                 t2 = time.perf_counter()
-                bareiss_ms += (t1 - t0) * 1000.0
-                laplace_ms += (t2 - t1) * 1000.0
+                _add_ms(timings, f"bareiss[order={order}]", t1 - t0)
+                _add_ms(timings, f"laplace[order={order}]", t2 - t1)
                 case = {"kind": "bench", "task": args.task, "order": order,
                         "trial": trial}
                 records.append(_record_dict(case, db, dl, db == dl))
-            timings[f"bareiss[order={order}]"] = bareiss_ms
-            timings[f"laplace[order={order}]"] = laplace_ms
     return _finish(args, ("task", "n", "k", "order", "trials", "bound", "convention",
                           "seed"), records, timings, started)
 
@@ -532,7 +528,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("task", choices=("term-fast-vs-iter", "bareiss-vs-laplace"))
     p.add_argument("--n", type=int, default=2, help="step count (term bench)")
     p.add_argument("--k", default="100000",
-                   help="indices: comma list or a..b range (term bench)")
+                   help="indices: comma list or a..b range (term bench); write a"
+                        " list or range that starts negative as --k=-7,0")
     p.add_argument("--order", default="6",
                    help="matrix orders: comma list or a..b range (det bench)")
     p.add_argument("--trials", type=int, default=10,

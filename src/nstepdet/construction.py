@@ -36,8 +36,9 @@ from typing import Iterable
 from .exact_linalg import (
     DimensionError,
     IntMatrix,
-    SelectionError,
     check_at_least,
+    check_indices,
+    check_square,
     det_bareiss,
     select_columns,
 )
@@ -90,25 +91,13 @@ class Prop1Record:
 def minor_selection(n: int, r: int, deleted: Iterable[int]) -> MinorSelection:
     """Validate a deletion list and compute its kept complement.
 
-    The deleted indices must be strictly ascending, lie in 1..n+r-1 and
-    number exactly r; lists are never silently repaired because the sign
-    formulas depend on the sorted values.
+    The deleted indices must be strictly ascending, lie in 1..n+r-1 (the
+    last column is never deleted) and number exactly r.
     """
     check_at_least(2, n=n)
     check_at_least(1, r=r)
-    deleted = tuple(deleted)
-    if len(deleted) != r:
-        raise SelectionError(
-            f"need exactly r={r} columns to delete, got {len(deleted)}")
-    if any(a >= b for a, b in zip(deleted, deleted[1:])):
-        raise SelectionError(f"deleted columns must be strictly ascending: {list(deleted)}")
-    if deleted and deleted[0] < 1:
-        raise SelectionError(f"column index {deleted[0]} below 1")
     last = n + r
-    if deleted and deleted[-1] >= last:
-        if deleted[-1] == last:
-            raise SelectionError(f"the last column {last} can never be deleted")
-        raise SelectionError(f"column index {deleted[-1]} outside 1..{last - 1}")
+    deleted = check_indices("deleted column", deleted, 1, last - 1, count=r)
     gone = set(deleted)
     kept = tuple(k for k in range(1, last) if k not in gone) + (last,)
     return MinorSelection(n, r, deleted, kept)
@@ -141,13 +130,7 @@ def build_Q(n: int, r: int, rows: Iterable[int]) -> IntMatrix:
     """The r x r submatrix of ``build_P(n, r)`` lying in the given rows."""
     check_at_least(2, n=n)
     check_at_least(1, r=r)
-    rows = tuple(rows)
-    if len(rows) != r:
-        raise SelectionError(f"need exactly r={r} row indices, got {len(rows)}")
-    if any(a >= b for a, b in zip(rows, rows[1:])):
-        raise SelectionError(f"row indices must be strictly ascending: {list(rows)}")
-    if rows[0] < 1 or rows[-1] > n + r - 1:
-        raise SelectionError(f"row index outside 1..{n + r - 1}: {list(rows)}")
+    rows = check_indices("row", rows, 1, n + r - 1, count=r)
     p = build_P(n, r)
     return IntMatrix.from_rows([p.row(i) for i in rows])
 
@@ -160,9 +143,7 @@ def extend_columns(a: IntMatrix, r: int) -> IntMatrix:
     After the first, each is got from a running total: the window sum
     ending at column m+1 is 2 * col_m - col_(m-n).
     """
-    if not a.is_square:
-        raise DimensionError(f"extend_columns needs a square matrix, got {a.rows}x{a.cols}")
-    n = a.rows
+    n = check_square("extend_columns", a)
     check_at_least(2, n=n)
     check_at_least(1, r=r)
     cols = [list(a.column(k)) for k in range(1, n + 1)]
@@ -199,15 +180,7 @@ def _deleted_sign(sel: MinorSelection) -> int:
 def sign_from_kept(n: int, kept: Iterable[int]) -> int:
     """Minor sign from the kept indices (the forced last column excluded):
     parity of n(n-1)/2 + sum(i)."""
-    kept = tuple(kept)
-    if len(kept) != n - 1:
-        raise SelectionError(
-            f"kept list must have n-1={n - 1} indices, got {len(kept)}")
-    if any(a >= b for a, b in zip(kept, kept[1:])):
-        raise SelectionError(f"kept indices must be strictly ascending: {list(kept)}")
-    if kept and kept[0] < 1:
-        raise SelectionError(f"column index {kept[0]} below 1")
-    return _kept_sign(n, kept)
+    return _kept_sign(n, check_indices("kept column", kept, 1, count=n - 1))
 
 
 def _kept_sign(n: int, kept: tuple[int, ...]) -> int:
@@ -235,9 +208,7 @@ def check_prop1(a: IntMatrix, r: int, deleted: Iterable[int]) -> Prop1Record:
     band submatrix in the deleted rows, times det ``a``. Works for singular
     ``a`` too, where both sides must be zero.
     """
-    if not a.is_square:
-        raise DimensionError(f"check_prop1 needs a square matrix, got {a.rows}x{a.cols}")
-    n = a.rows
+    n = check_square("check_prop1", a)
     sel = minor_selection(n, r, deleted)
     minor = minor_by_deletion(extend_columns(a, r), sel.deleted)
     minor_value = det_bareiss(minor)
@@ -265,12 +236,7 @@ def check_prop1_all(mats: Iterable[IntMatrix], r: int) -> list[list[Prop1Record]
     mats = list(mats)
     if not mats:
         return []
-    n = mats[0].rows
-    for a in mats:
-        if not a.is_square or a.rows != n:
-            raise DimensionError(
-                f"check_prop1_all needs square matrices of order {n},"
-                f" got {a.rows}x{a.cols}")
+    n = check_square("check_prop1_all", *mats)
     p_rows = build_P(n, r).to_rows()
     # (deleted, picker of a row's kept entries, sign, det Q) per deletion.
     cell = []

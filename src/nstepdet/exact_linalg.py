@@ -6,6 +6,12 @@ ints so nothing ever overflows or rounds. Row and column indices are
 fraction-free (Bareiss) elimination; ``det_laplace`` is a deliberately
 independent cofactor-expansion oracle, guarded to small orders so the two
 evaluators can cross-check each other.
+
+Each input rule is checked in one place: ``check_at_least`` for a lower
+bound on integer parameters, ``check_square`` for square matrices sharing
+one order (raising ``DimensionError``), and ``check_indices`` for strictly
+ascending index lists within bounds and of a given length (raising
+``SelectionError``). Every module validates through these three.
 """
 
 from __future__ import annotations
@@ -20,6 +26,8 @@ __all__ = [
     "RangeError",
     "SizeGuardError",
     "check_at_least",
+    "check_square",
+    "check_indices",
     "IntMatrix",
     "det_bareiss",
     "det_laplace",
@@ -55,6 +63,36 @@ def check_at_least(least: int, **params: int) -> None:
     for name, value in params.items():
         if value < least:
             raise ValueError(f"parameter {name} must be >= {least}, got {value}")
+
+
+def check_square(what: str, *mats: IntMatrix) -> int:
+    """The order shared by ``mats`` (at least one); DimensionError naming
+    ``what`` if a matrix is not square or the orders differ."""
+    order = mats[0].rows
+    for m in mats:
+        if m.rows != m.cols:
+            raise DimensionError(f"{what} needs a square matrix, got {m.rows}x{m.cols}")
+        if m.rows != order:
+            raise DimensionError(
+                f"{what} needs matrices of one order, got {order} and {m.rows}")
+    return order
+
+
+def check_indices(what: str, values: Iterable[int], lo: int, hi: int | None = None,
+                  count: int | None = None) -> tuple[int, ...]:
+    """``values`` as a tuple, checked to be strictly ascending, within
+    ``lo..hi`` (no upper bound if ``hi`` is None) and, if ``count`` is
+    given, exactly that many; SelectionError naming ``what`` otherwise.
+    Lists are never repaired: the sign formulas depend on the given order."""
+    values = tuple(values)
+    if count is not None and len(values) != count:
+        raise SelectionError(f"{what} needs exactly {count} indices, got {len(values)}")
+    if any(a >= b for a, b in zip(values, values[1:])):
+        raise SelectionError(f"{what} indices must be strictly ascending: {list(values)}")
+    if values and (values[0] < lo or (hi is not None and values[-1] > hi)):
+        bounds = f"{lo}..{hi}" if hi is not None else f">= {lo}"
+        raise SelectionError(f"{what} indices must lie in {bounds}: {list(values)}")
+    return values
 
 
 @dataclass(frozen=True)
@@ -116,10 +154,6 @@ class IntMatrix:
         return IntMatrix.from_rows(
             [[1 if i == j else 0 for j in range(order)] for i in range(order)])
 
-    @property
-    def is_square(self) -> bool:
-        return self.rows == self.cols
-
     def entry(self, i: int, k: int) -> int:
         """Entry in row ``i``, column ``k`` (both 1-based)."""
         if not (1 <= i <= self.rows and 1 <= k <= self.cols):
@@ -147,11 +181,6 @@ class IntMatrix:
         return format_matrix(self)
 
 
-def _require_square(m: IntMatrix, what: str) -> None:
-    if not m.is_square:
-        raise DimensionError(f"{what} needs a square matrix, got {m.rows}x{m.cols}")
-
-
 def det_bareiss(m: IntMatrix) -> int:
     """Exact determinant via fraction-free (Bareiss) elimination.
 
@@ -159,8 +188,7 @@ def det_bareiss(m: IntMatrix) -> int:
     a nonzero remainder would indicate a bug, so it raises ArithmeticError
     (an explicit check, so it also runs under ``python -O``).
     """
-    _require_square(m, "det_bareiss")
-    n = m.rows
+    n = check_square("det_bareiss", m)
     a = m.to_rows()
     sign = 1
     prev = 1
@@ -195,11 +223,11 @@ def det_laplace(m: IntMatrix) -> int:
     Factorial-time oracle used to cross-check ``det_bareiss``; orders above
     ``LAPLACE_MAX_ORDER`` are rejected outright.
     """
-    _require_square(m, "det_laplace")
-    if m.rows > LAPLACE_MAX_ORDER:
+    n = check_square("det_laplace", m)
+    if n > LAPLACE_MAX_ORDER:
         raise SizeGuardError(
             f"det_laplace is a small-order oracle (max order {LAPLACE_MAX_ORDER}),"
-            f" got order {m.rows}")
+            f" got order {n}")
     grid = m.to_rows()
 
     def expand(top: int, cols: tuple[int, ...]) -> int:
@@ -215,7 +243,7 @@ def det_laplace(m: IntMatrix) -> int:
             total += e * minor if pos % 2 == 0 else -e * minor
         return total
 
-    return expand(0, tuple(range(m.cols)))
+    return expand(0, tuple(range(n)))
 
 
 def transpose(m: IntMatrix) -> IntMatrix:
@@ -229,13 +257,9 @@ def reverse_columns(m: IntMatrix) -> IntMatrix:
 
 def select_columns(m: IntMatrix, kept: Iterable[int]) -> IntMatrix:
     """Keep only the 1-based columns listed in ``kept`` (strictly ascending)."""
-    kept = list(kept)
+    kept = check_indices("kept column", kept, 1, m.cols)
     if not kept:
         raise SelectionError("kept column list is empty")
-    if any(a >= b for a, b in zip(kept, kept[1:])):
-        raise SelectionError(f"column indices must be strictly ascending: {kept}")
-    if kept[0] < 1 or kept[-1] > m.cols:
-        raise SelectionError(f"column index outside 1..{m.cols}: {kept}")
     return IntMatrix.from_rows(
         [[row[k - 1] for k in kept] for row in m.to_rows()])
 

@@ -21,9 +21,9 @@ from itertools import product
 from typing import Callable, Iterator, Mapping, Sequence
 
 from .exact_linalg import (
-    DimensionError,
     IntMatrix,
     check_at_least,
+    check_square,
     det_bareiss,
     select_columns,
 )
@@ -89,7 +89,6 @@ class VerificationRecord:
     lhs: int
     rhs: int
     passed: bool
-    matrix_order: int
 
 
 def case_to_dict(case: IdentityCase, trial: int | None = None) -> dict:
@@ -130,7 +129,7 @@ def verify_cassini(n: int, r: int, conv: Convention = CLASSIC) -> VerificationRe
     lhs = det_bareiss(cassini_matrix(n, r, conv))
     rhs = _sign((n - 1) * r)
     return VerificationRecord(
-        IdentityCase(CASSINI, n, r, conv.name), lhs, rhs, lhs == rhs, n)
+        IdentityCase(CASSINI, n, r, conv.name), lhs, rhs, lhs == rhs)
 
 
 def docagne_matrix(n: int, r: int, s: int, conv: Convention = CLASSIC) -> IntMatrix:
@@ -151,7 +150,7 @@ def verify_docagne(n: int, r: int, s: int, conv: Convention = CLASSIC) -> Verifi
     lhs = det_bareiss(docagne_matrix(n, r, s, conv))
     rhs = _sign((n - 1) * r) * term(n, conv, s)
     return VerificationRecord(
-        IdentityCase(DOCAGNE, n, r, conv.name, s=s), lhs, rhs, lhs == rhs, n)
+        IdentityCase(DOCAGNE, n, r, conv.name, s=s), lhs, rhs, lhs == rhs)
 
 
 def vajda_matrix(n: int, r: int, p: int, q: int, conv: Convention = CLASSIC) -> IntMatrix:
@@ -178,7 +177,7 @@ def verify_vajda(n: int, r: int, p: int, q: int, conv: Convention = CLASSIC) -> 
     lhs = det_bareiss(vajda_matrix(n, r, p, q, conv))
     rhs = _sign((n - 1) * r + n // 2) * term(n, conv, p) * term(n, conv, q)
     return VerificationRecord(
-        IdentityCase(VAJDA, n, r, conv.name, p=p, q=q), lhs, rhs, lhs == rhs, n)
+        IdentityCase(VAJDA, n, r, conv.name, p=p, q=q), lhs, rhs, lhs == rhs)
 
 
 def verify_catalan(n: int, r: int, p: int, conv: Convention = CLASSIC) -> VerificationRecord:
@@ -186,7 +185,7 @@ def verify_catalan(n: int, r: int, p: int, conv: Convention = CLASSIC) -> Verifi
     base = verify_vajda(n, r, p, p, conv)
     return VerificationRecord(
         IdentityCase(CATALAN, n, r, conv.name, p=p, q=p),
-        base.lhs, base.rhs, base.passed, base.matrix_order)
+        base.lhs, base.rhs, base.passed)
 
 
 def _leading_minor_det(a: IntMatrix, r: int) -> int:
@@ -203,15 +202,12 @@ def generalized_docagne(a: IntMatrix, r: int) -> VerificationRecord:
     determinants of ``construction.q_fib_det``. Holds for singular ``a``
     too (both sides zero).
     """
-    if not a.is_square:
-        raise DimensionError(
-            f"generalized_docagne needs a square matrix, got {a.rows}x{a.cols}")
+    n = check_square("generalized_docagne", a)
     check_at_least(1, r=r)
-    n = a.rows
     lhs = _leading_minor_det(a, r)
     rhs = term(n, PAPER_POWERS, r) * det_bareiss(a)
     return VerificationRecord(
-        IdentityCase(GEN_DOCAGNE, n, r, PAPER_POWERS.name), lhs, rhs, lhs == rhs, n)
+        IdentityCase(GEN_DOCAGNE, n, r, PAPER_POWERS.name), lhs, rhs, lhs == rhs)
 
 
 def ratio_invariance(a: IntMatrix, b: IntMatrix, r: int) -> VerificationRecord:
@@ -220,13 +216,8 @@ def ratio_invariance(a: IntMatrix, b: IntMatrix, r: int) -> VerificationRecord:
     Checked cross-multiplied so everything stays an integer:
     minor(a) * det(b) == minor(b) * det(a).
     """
-    if not a.is_square or not b.is_square:
-        raise DimensionError("ratio_invariance needs square matrices")
-    if a.rows != b.rows:
-        raise DimensionError(
-            f"matrices must have equal order, got {a.rows} and {b.rows}")
+    n = check_square("ratio_invariance", a, b)
     check_at_least(1, r=r)
-    n = a.rows
     det_a = det_bareiss(a)
     det_b = det_bareiss(b)
     if det_a == 0 or det_b == 0:
@@ -234,7 +225,7 @@ def ratio_invariance(a: IntMatrix, b: IntMatrix, r: int) -> VerificationRecord:
     lhs = _leading_minor_det(a, r) * det_b
     rhs = _leading_minor_det(b, r) * det_a
     return VerificationRecord(
-        IdentityCase(RATIO_INVARIANCE, n, r, PAPER_POWERS.name), lhs, rhs, lhs == rhs, n)
+        IdentityCase(RATIO_INVARIANCE, n, r, PAPER_POWERS.name), lhs, rhs, lhs == rhs)
 
 
 @dataclass(frozen=True)

@@ -203,7 +203,7 @@ class TestVerify:
         assert code == EXIT_USAGE
 
     def test_sweep_without_records_is_usage_error(self, capsys, monkeypatch):
-        monkeypatch.setattr("nstepdet.cli._verify_sweep", lambda *args: [])
+        monkeypatch.setattr("nstepdet.cli._plan_sweep", lambda *args: (0, list))
         code, out, err = run(capsys, "verify", "cassini", "--n", "2", "--r", "1")
         assert code == EXIT_USAGE
         assert out == ""
@@ -341,6 +341,12 @@ class TestProp1:
         code, _, _ = run(capsys, "prop1", "--trials", "0")
         assert code == EXIT_USAGE
 
+    def test_non_square_matrix_is_usage_error(self, capsys):
+        code, out, err = run(capsys, "prop1", "--matrix", "1 2 3; 4 5 6", "--r", "1")
+        assert code == EXIT_USAGE
+        assert out == ""
+        assert err == "error: --matrix needs a square matrix, got 2x3\n"
+
 
 class TestBench:
     def test_term_engines_agree(self, capsys):
@@ -401,6 +407,23 @@ class TestBench:
             assert code == EXIT_USAGE, flags
             assert out == ""
             assert err.startswith("error: --"), err
+
+    @pytest.mark.parametrize("argv, keys", [
+        (("term-fast-vs-iter", "--k", "5,5"), ["iter[k=5]", "fast[k=5]"]),
+        (("bareiss-vs-laplace", "--order", "3,3", "--trials", "1"),
+         ["bareiss[order=3]", "laplace[order=3]"]),
+    ])
+    def test_repeated_size_sums_its_timings(self, capsys, monkeypatch, argv, keys):
+        # Every perf_counter() call advances one second, so each timed
+        # span is exactly 1000 ms and a key listed twice must read 2000.
+        clock = iter(range(1000))
+        monkeypatch.setattr("nstepdet.cli.time.perf_counter", lambda: next(clock))
+        code, report, _ = run_json(capsys, "bench", *argv, "--format", "json")
+        assert code == EXIT_OK
+        assert report["summary"]["total"] == 2
+        timings = report["timings_ms"]
+        assert timings.pop("total") > 0
+        assert timings == {keys[0]: 2000.0, keys[1]: 2000.0}
 
     def test_bench_without_records_is_usage_error(self, capsys, monkeypatch):
         monkeypatch.setattr("nstepdet.cli.parse_sizes", lambda text: [])
