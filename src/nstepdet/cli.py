@@ -346,7 +346,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
     _check_trials_bound(args)
     kinds = list(_VERIFY_KINDS) if args.kind == "all" else [args.kind]
     if args.convention == "both":
-        conventions = (CLASSIC, PAPER_POWERS)
+        conventions = tuple(_CONVENTIONS.values())
     else:
         conventions = (_CONVENTIONS[args.convention],)
     base_matrix = None
@@ -483,7 +483,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("seq", help="print sequence terms")
     p.add_argument("--n", type=int, required=True, help="step count (>= 2)")
-    p.add_argument("--convention", choices=("classic", "paper"), default="classic")
+    p.add_argument("--convention", choices=tuple(_CONVENTIONS), default="classic")
     p.add_argument("--from", dest="lo", type=int, required=True,
                    help="first index (may be negative)")
     p.add_argument("--to", dest="hi", type=int, required=True,
@@ -498,7 +498,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--s", default="1..5", help="d'Ocagne offset range")
     p.add_argument("--p", default="1..4", help="Vajda/Catalan offset range")
     p.add_argument("--q", default="1..4", help="Vajda offset range")
-    p.add_argument("--convention", choices=("classic", "paper", "both"),
+    p.add_argument("--convention", choices=tuple(_CONVENTIONS) + ("both",),
                    default="classic",
                    help="seed convention; 'both' probes the two side by side")
     p.add_argument("--trials", type=int, default=5,
@@ -535,7 +535,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--trials", type=int, default=10,
                    help="matrices per order (det bench)")
     p.add_argument("--bound", type=int, default=9, help="entry bound (det bench)")
-    p.add_argument("--convention", choices=("classic", "paper"), default="classic")
+    p.add_argument("--convention", choices=tuple(_CONVENTIONS), default="classic")
     _add_common(p)
     p.add_argument("--seed", type=int, default=0, help="seed for the random matrices")
     p.set_defaults(func=cmd_bench)

@@ -5,7 +5,10 @@ Three builders and two checkers make up the machinery:
 * ``build_P``           -- the (n+r-1) x r banded matrix whose column j holds
                            ones in rows j..j+n-1 and a single -1 in row j+n.
 * ``extend_columns``    -- grows a square matrix to n+r columns, each new
-                           column the entrywise sum of its n predecessors.
+                           column the entrywise sum of its n predecessors:
+                           each row is the n-step recurrence seeded by that
+                           row, swept by the same running total
+                           (``nstep_seq.sweep``) as ``terms_range``.
 * ``minor_by_deletion`` -- the square matrix left after deleting r of the
                            extension's columns (never the last one).
 * ``check_prop1``       -- the signed-minor product rule: every such minor's
@@ -42,6 +45,7 @@ from .exact_linalg import (
     det_bareiss,
     select_columns,
 )
+from .nstep_seq import sweep
 
 __all__ = [
     "MinorSelection",
@@ -111,19 +115,9 @@ def build_P(n: int, r: int) -> IntMatrix:
     """
     check_at_least(2, n=n)
     check_at_least(1, r=r)
-    height = n + r - 1
-    rows = []
-    for i in range(1, height + 1):
-        row = []
-        for j in range(1, r + 1):
-            if j <= i <= j + n - 1:
-                row.append(1)
-            elif i == j + n:
-                row.append(-1)
-            else:
-                row.append(0)
-        rows.append(row)
-    return IntMatrix.from_rows(rows)
+    return IntMatrix.from_columns(
+        [([0] * (j - 1) + [1] * n + [-1] + [0] * r)[:n + r - 1]
+         for j in range(1, r + 1)])
 
 
 def build_Q(n: int, r: int, rows: Iterable[int]) -> IntMatrix:
@@ -139,18 +133,14 @@ def extend_columns(a: IntMatrix, r: int) -> IntMatrix:
     """Append r columns to a square matrix, each the sum of its n predecessors.
 
     Column n+j of the result is the entrywise sum of columns j..n+j-1, so
-    every appended column satisfies the n-term recurrence over columns.
-    After the first, each is got from a running total: the window sum
-    ending at column m+1 is 2 * col_m - col_(m-n).
+    each row of the result is the n-step recurrence seeded by that row of
+    ``a``, swept forward by ``sweep``, the running total ``terms_range``
+    uses.
     """
     n = check_square("extend_columns", a)
     check_at_least(2, n=n)
     check_at_least(1, r=r)
-    cols = [list(a.column(k)) for k in range(1, n + 1)]
-    cols.append([sum(vals) for vals in zip(*cols)])
-    for j in range(r - 1):
-        cols.append([2 * last - first for last, first in zip(cols[-1], cols[j])])
-    return IntMatrix.from_columns(cols)
+    return IntMatrix.from_rows([sweep(row, r) for row in a.to_rows()])
 
 
 def minor_by_deletion(aext: IntMatrix, deleted: Iterable[int]) -> IntMatrix:

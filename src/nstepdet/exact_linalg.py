@@ -247,7 +247,7 @@ def det_laplace(m: IntMatrix) -> int:
 
 
 def transpose(m: IntMatrix) -> IntMatrix:
-    return IntMatrix.from_rows(list(zip(*m.to_rows())))
+    return IntMatrix.from_columns(m.to_rows())
 
 
 def reverse_columns(m: IntMatrix) -> IntMatrix:

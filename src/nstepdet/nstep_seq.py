@@ -45,6 +45,7 @@ __all__ = [
     "custom",
     "seed_block",
     "term",
+    "sweep",
     "terms_range",
     "term_fast",
 ]
@@ -169,10 +170,14 @@ def _x_pow(n: int, e: int) -> list[int]:
     return c
 
 
-def _sweep(window: Iterable[int], count: int) -> list[int]:
-    """``window`` (n consecutive terms) followed by the next ``count`` terms.
+def sweep(window: Iterable[int], count: int) -> list[int]:
+    """``window`` followed by the next ``count`` terms of the n-term
+    recurrence, n being the window's length.
 
-    A running total of the last n terms avoids n additions per step.
+    The window can be any n consecutive values of the recurrence: the seeds,
+    a window reached by the polynomial jump, or one row of a matrix whose
+    columns are being extended. A running total of the last n terms avoids
+    n additions per step.
     """
     values = list(window)
     total = sum(values)
@@ -190,7 +195,7 @@ def _window_at(c: list[int], seeds: tuple[int, ...]) -> list[int]:
     with terms j+1..j+n, swept forward from the seeds.
     """
     n = len(seeds)
-    first = _sweep(seeds, n - 1)
+    first = sweep(seeds, n - 1)
     return [sum(map(mul, c, first[j:j + n])) for j in range(n)]
 
 
@@ -200,7 +205,7 @@ def terms_range(n: int, conv: Convention, lo: int, hi: int) -> list[int]:
     if lo > hi:
         raise RangeError(f"empty index range {lo}..{hi}")
     window = _window_at(_x_pow(n, lo - 1), seed_block(n, conv))
-    return _sweep(window, hi - lo + 1 - n)[:hi - lo + 1]
+    return sweep(window, hi - lo + 1 - n)[:hi - lo + 1]
 
 
 def term_fast(n: int, conv: Convention, k: int) -> int:

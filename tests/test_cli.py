@@ -332,10 +332,14 @@ class TestProp1:
             assert time.perf_counter() - started < 5.0
 
     def test_bad_order_or_length_is_usage_error(self, capsys):
-        for flags in (("--n", "1..3"), ("--r", "0..2"), ("--r", "-3..-1")):
-            code, out, _ = run(capsys, "prop1", *flags)
+        # A value starting with "-" is written --r=..., or argparse takes it
+        # for an option and never reaches the r >= 1 check.
+        for flags, parameter in ((("--n", "1..3"), "n"), (("--r", "0..2"), "r"),
+                                 (("--r=-3..-1",), "r")):
+            code, out, err = run(capsys, "prop1", *flags)
             assert code == EXIT_USAGE, flags
             assert out == ""
+            assert f"parameter {parameter} must be >=" in err, (flags, err)
 
     def test_bad_trials_usage_error(self, capsys):
         code, _, _ = run(capsys, "prop1", "--trials", "0")

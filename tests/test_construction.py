@@ -65,16 +65,20 @@ class TestBuildP:
             expect = 2 if j + 3 <= p.rows else 3
             assert sum(p.column(j)) == expect
 
-    def test_column_structure(self):
-        for n in range(2, 6):
-            for r in range(1, 7):
-                p = build_P(n, r)
-                assert (p.rows, p.cols) == (n + r - 1, r)
-                for j in range(1, r + 1):
-                    col = p.column(j)
-                    assert col.count(1) == n
-                    assert col.count(-1) <= 1
-                    assert col.count(0) == len(col) - col.count(1) - col.count(-1)
+    def test_every_entry(self):
+        # Oracle: the entry rule, written per entry rather than per column.
+        def entry(n, i, j):
+            if j <= i <= j + n - 1:
+                return 1
+            if i == j + n:
+                return -1
+            return 0
+
+        for n in range(2, 7):
+            for r in range(1, 8):
+                assert build_P(n, r) == M(
+                    [[entry(n, i, j) for j in range(1, r + 1)]
+                     for i in range(1, n + r)]), (n, r)
 
     def test_bad_parameters(self):
         with pytest.raises(ValueError):
