@@ -4,7 +4,8 @@ signed-minor checks, and engine benchmarks.
 Reports come in three formats (``table`` for humans, ``json`` canonical,
 ``csv`` flat) and exit codes are deterministic: 0 when every record passes,
 1 when any fails, 2 on usage errors, among them runs that would produce
-more than ``MAX_RECORDS`` records or terms. Big integers are serialized as
+more than ``MAX_RECORDS`` records or terms and an ``--out`` path that
+cannot be written. Big integers are serialized as
 decimal strings, never as native numbers. Given identical flags and seed,
 all output except wall-time fields is byte-identical across runs.
 
@@ -196,8 +197,8 @@ def canonical_json(obj) -> str:
         raise TypeError(f"{exc.args[0].__name__} is not JSON serializable") from None
 
 
-def _elide(value: str, limit: int = 24) -> str:
-    if len(value) <= limit:
+def _elide(value: str) -> str:
+    if len(value) <= 24:
         return value
     return f"{value[:12]}...({len(value)} digits)"
 
@@ -247,8 +248,8 @@ def _write_output(text: str, out: str | None, summary_line: str | None = None) -
         sys.stdout.write(text)
 
 
-def _record_dict(case: dict, lhs: int, rhs: int, passed: bool) -> dict:
-    return {"case": case, "lhs": str(lhs), "rhs": str(rhs), "pass": passed}
+def _record_dict(case: dict, lhs: int, rhs: int) -> dict:
+    return {"case": case, "lhs": str(lhs), "rhs": str(rhs), "pass": lhs == rhs}
 
 
 def _check_trials_bound(args: argparse.Namespace) -> None:
@@ -308,7 +309,7 @@ def cmd_seq(args: argparse.Namespace) -> int:
 
 
 def _verification_dict(rec: VerificationRecord, trial: int | None = None) -> dict:
-    return _record_dict(case_to_dict(rec.case, trial), rec.lhs, rec.rhs, rec.passed)
+    return _record_dict(case_to_dict(rec.case, trial), rec.lhs, rec.rhs)
 
 
 def _plan_sweep(kind: str, args: argparse.Namespace, conventions, rng: Random,
@@ -402,8 +403,7 @@ def cmd_prop1(args: argparse.Namespace) -> int:
                 for rec in batch:
                     case = {"kind": "prop1", "n": n, "r": r, "trial": trial,
                             "deleted": list(rec.deleted)}
-                    records.append(_record_dict(
-                        case, rec.minor_value, rec.rhs, rec.passed))
+                    records.append(_record_dict(case, rec.minor_value, rec.rhs))
     return _finish(args, ("n", "r", "trials", "bound", "matrix", "seed"),
                    records, {}, started)
 
@@ -436,7 +436,7 @@ def cmd_bench(args: argparse.Namespace) -> int:
             _add_ms(timings, f"fast[k={k}]", t2 - t1)
             case = {"kind": "bench", "task": args.task, "n": args.n, "k": k,
                     "convention": args.convention}
-            records.append(_record_dict(case, fast, slow, fast == slow))
+            records.append(_record_dict(case, fast, slow))
     else:  # bareiss-vs-laplace
         _check_trials_bound(args)
         orders = parse_sizes(args.order)
@@ -458,7 +458,7 @@ def cmd_bench(args: argparse.Namespace) -> int:
                 _add_ms(timings, f"laplace[order={order}]", t2 - t1)
                 case = {"kind": "bench", "task": args.task, "order": order,
                         "trial": trial}
-                records.append(_record_dict(case, db, dl, db == dl))
+                records.append(_record_dict(case, db, dl))
     return _finish(args, ("task", "n", "k", "order", "trials", "bound", "convention",
                           "seed"), records, timings, started)
 
@@ -555,7 +555,7 @@ def main(argv=None) -> int:
         return exc.code if isinstance(exc.code, int) else EXIT_USAGE
     try:
         return args.func(args)
-    except (UsageError, ValueError) as exc:
+    except (UsageError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

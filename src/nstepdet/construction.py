@@ -25,6 +25,10 @@ Three builders and two checkers make up the machinery:
                            it is tested against, and the CLI rechecks one
                            deletion per matrix through it.
 
+A ``Prop1Record`` stores the minor's determinant and the three factors of
+the right side; ``rhs`` (their product) and ``passed`` are derived from
+them.
+
 ``q_fib_det`` evaluates the band submatrix in rows n..n+r-1; over r these
 determinants are exactly the n-step Fibonacci numbers with power seeding.
 """
@@ -79,7 +83,8 @@ class MinorSelection:
 
 @dataclass(frozen=True)
 class Prop1Record:
-    """One evaluation of the signed-minor product rule."""
+    """One evaluation of the signed-minor product rule: the minor's
+    determinant (left side) and the factors of the right side."""
 
     n: int
     r: int
@@ -88,8 +93,14 @@ class Prop1Record:
     sign: int
     det_q: int
     det_a: int
-    rhs: int
-    passed: bool
+
+    @property
+    def rhs(self) -> int:
+        return self.sign * self.det_q * self.det_a
+
+    @property
+    def passed(self) -> bool:
+        return self.minor_value == self.rhs
 
 
 def minor_selection(n: int, r: int, deleted: Iterable[int]) -> MinorSelection:
@@ -205,10 +216,7 @@ def check_prop1(a: IntMatrix, r: int, deleted: Iterable[int]) -> Prop1Record:
     sign = _checked_sign(sel)
     det_q = det_bareiss(build_Q(n, r, sel.deleted))
     det_a = det_bareiss(a)
-    rhs = sign * det_q * det_a
-    return Prop1Record(
-        n, r, sel.deleted, minor_value, sign, det_q, det_a, rhs,
-        minor_value == rhs)
+    return Prop1Record(n, r, sel.deleted, minor_value, sign, det_q, det_a)
 
 
 def check_prop1_all(mats: Iterable[IntMatrix], r: int) -> list[list[Prop1Record]]:
@@ -245,11 +253,8 @@ def check_prop1_all(mats: Iterable[IntMatrix], r: int) -> list[list[Prop1Record]
             # n >= 2 kept columns, so ``pick`` returns a tuple per row.
             minor = IntMatrix._trusted(
                 n, n, tuple(chain.from_iterable(map(pick, ext_rows))))
-            minor_value = det_bareiss(minor)
-            rhs = sign * det_q * det_a
             records.append(Prop1Record(
-                n, r, deleted, minor_value, sign, det_q, det_a, rhs,
-                minor_value == rhs))
+                n, r, deleted, det_bareiss(minor), sign, det_q, det_a))
         batch.append(records)
     return batch
 

@@ -1,13 +1,17 @@
 """Generalized Cassini, d'Ocagne, Vajda and Catalan determinant identities
 for n-step Fibonacci numbers, verified exactly at arbitrary parameters.
 
-Each family builds its n x n matrix of sequence terms, evaluates the
-determinant exactly, and compares it with the predicted closed form.
-Nothing is rounded and nothing is assumed: ``verify_*`` returns the full
-record, pass or fail, and ``convention_probe`` reports which seed
-convention actually satisfies each family instead of taking either for
-granted. Verification defaults to the classic convention, which is the one
-the probe shows to hold across all four families.
+Each family matrix is an index rule: entry (i, k) is the term at an index
+linear in i and k, and ``_term_matrix`` reads every entry from one
+``terms_range`` window spanning the smallest to the largest index the rule
+uses. Each family evaluates its determinant exactly and compares it with
+the predicted closed form; a record stores the two sides, and ``passed``
+is derived from them. Nothing is rounded and nothing is assumed:
+``verify_*`` returns the full record, pass or fail, and
+``convention_probe`` reports which seed convention actually satisfies each
+family instead of taking either for granted. Verification defaults to the
+classic convention, which is the one the probe shows to hold across all
+four families.
 
 ``FAMILIES`` maps each sequence-matrix family to its parameter axes and its
 verifier; ``family_records`` sweeps one family over a grid of values, for
@@ -88,7 +92,10 @@ class VerificationRecord:
     case: IdentityCase
     lhs: int
     rhs: int
-    passed: bool
+
+    @property
+    def passed(self) -> bool:
+        return self.lhs == self.rhs
 
 
 def case_to_dict(case: IdentityCase, trial: int | None = None) -> dict:
@@ -106,86 +113,70 @@ def case_to_dict(case: IdentityCase, trial: int | None = None) -> dict:
     return out
 
 
-def _sign(exponent: int) -> int:
-    return 1 if exponent % 2 == 0 else -1
-
-
-def _term_window(n: int, conv: Convention, lo: int, hi: int):
-    """Index-addressable slice of the sequence, fetched in one pass."""
-    values = terms_range(n, conv, lo, hi)
-    return lambda k: values[k - lo]
+def _term_matrix(n: int, conv: Convention, index: Callable[[int, int], int]) -> IntMatrix:
+    """n x n matrix with entry (i, k) = term ``index(i, k)`` for i, k in
+    1..n, read from one ``terms_range`` window from the smallest index used
+    to the largest."""
+    check_at_least(2, n=n)
+    at = [[index(i, k) for k in range(1, n + 1)] for i in range(1, n + 1)]
+    lo = min(map(min, at))
+    values = terms_range(n, conv, lo, max(map(max, at)))
+    return IntMatrix.from_rows([[values[j - lo] for j in row] for row in at])
 
 
 def cassini_matrix(n: int, r: int, conv: Convention = CLASSIC) -> IntMatrix:
     """n x n matrix with entry (i, k) = term r+k-i+1; constant diagonals."""
     check_at_least(1, r=r)
-    f = _term_window(n, conv, r - n + 2, r + n)
-    return IntMatrix.from_rows(
-        [[f(r + k - i + 1) for k in range(1, n + 1)] for i in range(1, n + 1)])
+    return _term_matrix(n, conv, lambda i, k: r + k - i + 1)
 
 
 def verify_cassini(n: int, r: int, conv: Convention = CLASSIC) -> VerificationRecord:
     """Cassini: det = (-1)^((n-1)r)."""
     lhs = det_bareiss(cassini_matrix(n, r, conv))
-    rhs = _sign((n - 1) * r)
-    return VerificationRecord(
-        IdentityCase(CASSINI, n, r, conv.name), lhs, rhs, lhs == rhs)
+    rhs = (-1) ** ((n - 1) * r)
+    return VerificationRecord(IdentityCase(CASSINI, n, r, conv.name), lhs, rhs)
 
 
 def docagne_matrix(n: int, r: int, s: int, conv: Convention = CLASSIC) -> IntMatrix:
     """Cassini matrix with its last column pushed s-1 indices ahead:
     entry (i, n) = term r+n+s-i. At s = 1 it is the Cassini matrix."""
     check_at_least(1, r=r, s=s)
-    f = _term_window(n, conv, r - n + 2, r + n + s - 1)
-    rows = []
-    for i in range(1, n + 1):
-        row = [f(r + k - i + 1) for k in range(1, n)]
-        row.append(f(r + n + s - i))
-        rows.append(row)
-    return IntMatrix.from_rows(rows)
+    return _term_matrix(
+        n, conv, lambda i, k: r + k - i + 1 + (s - 1) * (k == n))
 
 
 def verify_docagne(n: int, r: int, s: int, conv: Convention = CLASSIC) -> VerificationRecord:
     """d'Ocagne: det = (-1)^((n-1)r) * term(s)."""
     lhs = det_bareiss(docagne_matrix(n, r, s, conv))
-    rhs = _sign((n - 1) * r) * term(n, conv, s)
-    return VerificationRecord(
-        IdentityCase(DOCAGNE, n, r, conv.name, s=s), lhs, rhs, lhs == rhs)
+    rhs = (-1) ** ((n - 1) * r) * term(n, conv, s)
+    return VerificationRecord(IdentityCase(DOCAGNE, n, r, conv.name, s=s), lhs, rhs)
 
 
 def vajda_matrix(n: int, r: int, p: int, q: int, conv: Convention = CLASSIC) -> IntMatrix:
-    """Symmetric-layout matrix whose last column jumps by p and last row by q.
+    """Hankel matrix of entry (i, k) = term r-n+i+k, with p-1 added to the
+    index in column n and q-1 in row n.
 
     For i < n: entry (i, k) = term r-n+i+k, entry (i, n) = term p+r+i-1.
     Row n:     entry (n, k) = term q+r+k-1, entry (n, n) = term p+q+r+n-2.
     """
     check_at_least(1, r=r, p=p, q=q)
-    f = _term_window(n, conv, r - n + 2, p + q + r + n - 2)
-    rows = []
-    for i in range(1, n):
-        row = [f(r - n + i + k) for k in range(1, n)]
-        row.append(f(p + r + i - 1))
-        rows.append(row)
-    last = [f(q + r + k - 1) for k in range(1, n)]
-    last.append(f(p + q + r + n - 2))
-    rows.append(last)
-    return IntMatrix.from_rows(rows)
+    return _term_matrix(
+        n, conv,
+        lambda i, k: r - n + i + k + (p - 1) * (k == n) + (q - 1) * (i == n))
 
 
 def verify_vajda(n: int, r: int, p: int, q: int, conv: Convention = CLASSIC) -> VerificationRecord:
     """Vajda: det = (-1)^((n-1)r + floor(n/2)) * term(p) * term(q)."""
     lhs = det_bareiss(vajda_matrix(n, r, p, q, conv))
-    rhs = _sign((n - 1) * r + n // 2) * term(n, conv, p) * term(n, conv, q)
-    return VerificationRecord(
-        IdentityCase(VAJDA, n, r, conv.name, p=p, q=q), lhs, rhs, lhs == rhs)
+    rhs = (-1) ** ((n - 1) * r + n // 2) * term(n, conv, p) * term(n, conv, q)
+    return VerificationRecord(IdentityCase(VAJDA, n, r, conv.name, p=p, q=q), lhs, rhs)
 
 
 def verify_catalan(n: int, r: int, p: int, conv: Convention = CLASSIC) -> VerificationRecord:
     """Catalan is Vajda at q = p: det = signed square of term(p)."""
     base = verify_vajda(n, r, p, p, conv)
     return VerificationRecord(
-        IdentityCase(CATALAN, n, r, conv.name, p=p, q=p),
-        base.lhs, base.rhs, base.passed)
+        IdentityCase(CATALAN, n, r, conv.name, p=p, q=p), base.lhs, base.rhs)
 
 
 def _leading_minor_det(a: IntMatrix, r: int) -> int:
@@ -207,7 +198,7 @@ def generalized_docagne(a: IntMatrix, r: int) -> VerificationRecord:
     lhs = _leading_minor_det(a, r)
     rhs = term(n, PAPER_POWERS, r) * det_bareiss(a)
     return VerificationRecord(
-        IdentityCase(GEN_DOCAGNE, n, r, PAPER_POWERS.name), lhs, rhs, lhs == rhs)
+        IdentityCase(GEN_DOCAGNE, n, r, PAPER_POWERS.name), lhs, rhs)
 
 
 def ratio_invariance(a: IntMatrix, b: IntMatrix, r: int) -> VerificationRecord:
@@ -225,7 +216,7 @@ def ratio_invariance(a: IntMatrix, b: IntMatrix, r: int) -> VerificationRecord:
     lhs = _leading_minor_det(a, r) * det_b
     rhs = _leading_minor_det(b, r) * det_a
     return VerificationRecord(
-        IdentityCase(RATIO_INVARIANCE, n, r, PAPER_POWERS.name), lhs, rhs, lhs == rhs)
+        IdentityCase(RATIO_INVARIANCE, n, r, PAPER_POWERS.name), lhs, rhs)
 
 
 @dataclass(frozen=True)
@@ -262,14 +253,14 @@ def family_records(
                 yield verify(n, r, *rest)
 
 
-def convention_probe(
-    n_values=(2, 3, 4),
-    r_values=(1, 2, 3, 4, 5, 6),
-    s_values=(1, 2, 3, 4),
-    p_values=(1, 2, 3),
-    q_values=(1, 2, 3),
-    conventions=(CLASSIC, PAPER_POWERS),
-) -> dict:
+# The values ``convention_probe`` sweeps each axis over, and the conventions
+# it compares.
+_PROBE_GRID = {"n": (2, 3, 4), "r": (1, 2, 3, 4, 5, 6), "s": (1, 2, 3, 4),
+               "p": (1, 2, 3), "q": (1, 2, 3)}
+_PROBE_CONVENTIONS = (CLASSIC, PAPER_POWERS)
+
+
+def convention_probe() -> dict:
     """Pass grid of the four sequence-matrix families under each convention.
 
     Nothing is asserted here: each family is swept under every convention
@@ -277,13 +268,13 @@ def convention_probe(
     documents which seeding satisfies which family. ``resolution`` lists,
     per family, the conventions with a clean sweep.
     """
-    grid = {"n": n_values, "r": r_values, "s": s_values, "p": p_values, "q": q_values}
     families: dict = {}
     resolution: dict = {}
     for name, family in sorted(FAMILIES.items()):
         per_conv: dict = {}
-        for conv in conventions:
-            records = list(family_records(family.verify, family.axes, grid, (conv,)))
+        for conv in _PROBE_CONVENTIONS:
+            records = list(
+                family_records(family.verify, family.axes, _PROBE_GRID, (conv,)))
             failed = [rec for rec in records if not rec.passed]
             per_conv[conv.name] = {
                 "total": len(records),
@@ -293,12 +284,12 @@ def convention_probe(
             }
         families[name] = per_conv
         resolution[name] = [
-            conv.name for conv in conventions
+            conv.name for conv in _PROBE_CONVENTIONS
             if per_conv[conv.name]["failed"] == 0]
     return {
         "params": {
-            **{axis: list(values) for axis, values in grid.items()},
-            "conventions": [conv.name for conv in conventions],
+            **{axis: list(values) for axis, values in _PROBE_GRID.items()},
+            "conventions": [conv.name for conv in _PROBE_CONVENTIONS],
         },
         "families": families,
         "resolution": resolution,

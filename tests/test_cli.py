@@ -438,6 +438,18 @@ class TestBench:
 
 
 class TestReportShape:
+    @pytest.mark.parametrize("argv", [
+        ("seq", "--n", "2", "--from", "1", "--to", "3"),
+        ("verify", "cassini", "--n", "2", "--r", "1"),
+    ])
+    @pytest.mark.parametrize("where", ["directory", "missing parent"])
+    def test_unwritable_out_is_usage_error(self, capsys, tmp_path, argv, where):
+        target = tmp_path if where == "directory" else tmp_path / "missing" / "x.txt"
+        code, out, err = run(capsys, *argv, "--out", str(target))
+        assert code == EXIT_USAGE
+        assert err.startswith("error: ")
+        assert out == ""
+
     def test_json_round_trip_bytes(self, capsys):
         for args in (
             ("verify", "docagne", "--n", "2..3", "--r", "1..2", "--s", "1..2",

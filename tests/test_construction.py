@@ -20,6 +20,7 @@ from nstepdet.exact_linalg import (
 )
 from nstepdet.nstep_seq import PAPER_POWERS, term
 from nstepdet.construction import (
+    Prop1Record,
     build_P,
     build_Q,
     check_prop1,
@@ -231,6 +232,12 @@ class TestSigns:
 
 
 class TestCheckProp1:
+    def test_rhs_and_verdict_are_derived(self):
+        rec = Prop1Record(2, 1, (1,), 6, -1, 2, -3)
+        assert rec.rhs == rec.sign * rec.det_q * rec.det_a == 6
+        assert rec.passed
+        assert not Prop1Record(2, 1, (1,), 5, -1, 2, -3).passed
+
     def test_worked_example(self):
         rec = check_prop1(M([[1, 2], [0, 1]]), 1, [1])
         assert (rec.minor_value, rec.sign, rec.det_q, rec.det_a) == (-1, -1, 1, 1)

@@ -4,6 +4,7 @@ import random
 
 import pytest
 
+import nstepdet.identities
 from nstepdet.exact_linalg import (
     DimensionError,
     IntMatrix,
@@ -14,7 +15,10 @@ from nstepdet.exact_linalg import (
 )
 from nstepdet.nstep_seq import CLASSIC, PAPER_POWERS, custom, term
 from nstepdet.identities import (
+    CASSINI,
+    IdentityCase,
     RegularityError,
+    VerificationRecord,
     cassini_matrix,
     case_to_dict,
     convention_probe,
@@ -220,6 +224,71 @@ class TestRatioInvariance:
     def test_mismatched_orders_rejected(self):
         with pytest.raises(DimensionError):
             ratio_invariance(IntMatrix.identity(2), IntMatrix.identity(3), 1)
+
+
+# Each builder's entry (i, k) as its docstring states it, one index per
+# entry, written out separately from the builders' own index rules.
+def _cassini_index(n, r, i, k):
+    return r + k - i + 1
+
+
+def _docagne_index(n, r, s, i, k):
+    return r + n + s - i if k == n else r + k - i + 1
+
+
+def _vajda_index(n, r, p, q, i, k):
+    if i < n:
+        return r - n + i + k if k < n else p + r + i - 1
+    return q + r + k - 1 if k < n else p + q + r + n - 2
+
+
+# classic, paper, and a custom seeding with mixed signs (n seeds each).
+_CONVENTIONS = (lambda n: CLASSIC, lambda n: PAPER_POWERS,
+                lambda n: custom((3, -1, 4, 1, 5, 9)[:n]))
+_OFFSETS = range(1, 6)
+
+
+def _builder_cases():
+    """(builder, its arguments after n and r, the index rule) per case."""
+    yield cassini_matrix, (), _cassini_index
+    for s in _OFFSETS:
+        yield docagne_matrix, (s,), _docagne_index
+    for p in _OFFSETS:
+        for q in _OFFSETS:
+            yield vajda_matrix, (p, q), _vajda_index
+
+
+class TestBuildersAgainstTerm:
+    @pytest.mark.parametrize("n", range(2, 7))
+    def test_entries_and_window(self, n, monkeypatch):
+        # r 1..8 includes r < n, where entries reach indices <= 0.
+        calls = []
+        real = nstepdet.identities.terms_range
+
+        def spy(*args):
+            calls.append(args)
+            return real(*args)
+        monkeypatch.setattr("nstepdet.identities.terms_range", spy)
+        for make_conv in _CONVENTIONS:
+            conv = make_conv(n)
+            for r in range(1, 9):
+                for build, extra, index in _builder_cases():
+                    at = [[index(n, r, *extra, i, k) for k in range(1, n + 1)]
+                          for i in range(1, n + 1)]
+                    want = [[term(n, conv, j) for j in row] for row in at]
+                    calls.clear()
+                    got = build(n, r, *extra, conv)
+                    case = (build.__name__, n, r, extra, conv)
+                    assert got.to_rows() == want, case
+                    lo, hi = min(map(min, at)), max(map(max, at))
+                    assert calls == [(n, conv, lo, hi)], case
+
+
+class TestVerificationRecord:
+    def test_passed_is_derived_from_both_sides(self):
+        case = IdentityCase(CASSINI, 2, 1, "classic")
+        assert not VerificationRecord(case, 2, 3).passed
+        assert VerificationRecord(case, -5, -5).passed
 
 
 class TestStructuralConsistency:
