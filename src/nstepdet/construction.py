@@ -240,8 +240,8 @@ def check_prop1_all(mats: Iterable[IntMatrix], r: int) -> list[list[Prop1Record]
     cell = []
     for deleted in combinations(range(1, n + r), r):
         sel = minor_selection(n, r, deleted)
-        q = IntMatrix._trusted(
-            r, r, tuple(e for i in sel.deleted for e in p_rows[i - 1]))
+        q = IntMatrix(
+            r, r, tuple(chain.from_iterable(p_rows[i - 1] for i in sel.deleted)))
         cell.append((sel.deleted, itemgetter(*(k - 1 for k in sel.kept)),
                      _checked_sign(sel), det_bareiss(q)))
     batch = []
@@ -251,8 +251,7 @@ def check_prop1_all(mats: Iterable[IntMatrix], r: int) -> list[list[Prop1Record]
         records = []
         for deleted, pick, sign, det_q in cell:
             # n >= 2 kept columns, so ``pick`` returns a tuple per row.
-            minor = IntMatrix._trusted(
-                n, n, tuple(chain.from_iterable(map(pick, ext_rows))))
+            minor = IntMatrix(n, n, tuple(chain.from_iterable(map(pick, ext_rows))))
             records.append(Prop1Record(
                 n, r, deleted, det_bareiss(minor), sign, det_q, det_a))
         batch.append(records)

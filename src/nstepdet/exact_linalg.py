@@ -1,11 +1,13 @@
 """Exact dense linear algebra over arbitrary-precision integers.
 
 Matrices here are small, dense and immutable, with entries kept as Python
-ints so nothing ever overflows or rounds. Row and column indices are
-1-based at every public boundary. The production determinant is
-fraction-free (Bareiss) elimination; ``det_laplace`` is a deliberately
-independent cofactor-expansion oracle, guarded to small orders so the two
-evaluators can cross-check each other.
+ints so nothing ever overflows or rounds. Every ``IntMatrix`` passes one
+constructor check: its sides are exact ints >= 1 and its entries a tuple
+of rows x cols exact ints (no bool, no float). No unchecked constructor
+exists. Row and column indices are 1-based at every public boundary. The
+production determinant is fraction-free (Bareiss) elimination;
+``det_laplace`` is a deliberately independent cofactor-expansion oracle,
+guarded to small orders so the two evaluators can cross-check each other.
 
 Each input rule is checked in one place: ``check_at_least`` for a lower
 bound on integer parameters, ``check_square`` for square matrices sharing
@@ -17,6 +19,7 @@ ascending index lists within bounds and of a given length (raising
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain
 from typing import Iterable, Sequence
 
 __all__ = [
@@ -104,30 +107,19 @@ class IntMatrix:
     entries: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        if self.rows < 1 or self.cols < 1:
+        rows, cols, entries = self.rows, self.cols, self.entries
+        if not (type(rows) is type(cols) is int and rows >= 1 and cols >= 1):
             raise DimensionError(
-                f"matrix must be at least 1x1, got {self.rows}x{self.cols}")
-        if len(self.entries) != self.rows * self.cols:
+                f"matrix must be at least 1x1, int by int, got {rows!r}x{cols!r}")
+        if type(entries) is not tuple:
+            raise DimensionError(f"entries must be a tuple, got {type(entries).__name__}")
+        if len(entries) != rows * cols:
             raise DimensionError(
-                f"{self.rows}x{self.cols} matrix needs {self.rows * self.cols}"
-                f" entries, got {len(self.entries)}")
-        for e in self.entries:
+                f"{rows}x{cols} matrix needs {rows * cols} entries, got {len(entries)}")
+        for e in entries:
             # Exact type: bool is an int subclass but not a matrix entry.
             if type(e) is not int:
-                raise DimensionError(
-                    f"entries must be ints, got {type(e).__name__}")
-
-    @classmethod
-    def _trusted(cls, rows: int, cols: int, entries: tuple[int, ...]) -> "IntMatrix":
-        """Build without the shape and entry checks.
-
-        Only for entries copied out of matrices that already passed them,
-        in a shape the caller has fixed; outside input goes through the
-        public constructors.
-        """
-        m = object.__new__(cls)
-        m.__dict__.update(rows=rows, cols=cols, entries=entries)
-        return m
+                raise DimensionError(f"entries must be ints, got {type(e).__name__}")
 
     @staticmethod
     def from_rows(rows: Sequence[Sequence[int]]) -> "IntMatrix":
@@ -137,7 +129,7 @@ class IntMatrix:
         width = len(rows[0])
         if any(len(r) != width for r in rows):
             raise DimensionError("ragged rows: every row must have the same length")
-        return IntMatrix(len(rows), width, tuple(e for row in rows for e in row))
+        return IntMatrix(len(rows), width, tuple(chain.from_iterable(rows)))
 
     @staticmethod
     def from_columns(columns: Sequence[Sequence[int]]) -> "IntMatrix":
@@ -175,7 +167,9 @@ class IntMatrix:
         return self.entries[k - 1::self.cols]
 
     def to_rows(self) -> list[list[int]]:
-        return [list(self.row(i)) for i in range(1, self.rows + 1)]
+        """Fresh row lists, which the caller may mutate."""
+        e, c = self.entries, self.cols
+        return [list(e[base:base + c]) for base in range(0, len(e), c)]
 
     def __str__(self) -> str:
         return format_matrix(self)

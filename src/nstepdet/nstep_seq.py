@@ -7,7 +7,7 @@ from one of three conventions:
                       the n-1 terms just below index 1 are all zero.
 * ``paper``        -- 1, 2, 4, ..., 2^(n-1); the classic sequence shifted
                       one index down.
-* ``custom(...)``  -- caller-supplied seed values.
+* ``custom(...)``  -- caller-supplied seed values, each an exact int.
 
 Inverting the recurrence extends every sequence to zero and negative
 indices (term k = term k+n minus the n-1 terms between), which the
@@ -64,8 +64,12 @@ PAPER_POWERS = Convention("paper")
 
 
 def custom(seeds: Iterable[int]) -> Convention:
-    """Convention with caller-supplied values for indices 1..n."""
-    seeds = tuple(int(s) for s in seeds)
+    """Convention with caller-supplied values for indices 1..n, each an
+    exact int: a float, bool or str seed raises ValueError, never rounds."""
+    seeds = tuple(seeds)
+    for s in seeds:
+        if type(s) is not int:
+            raise ValueError(f"seeds must be ints, got {type(s).__name__}")
     if not seeds:
         raise ValueError("custom convention needs at least one seed")
     return Convention("custom", seeds)

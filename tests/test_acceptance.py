@@ -11,6 +11,7 @@ import random
 import time
 from itertools import combinations
 
+from nstepdet.cli import random_matrix
 from nstepdet.exact_linalg import (
     IntMatrix,
     det_bareiss,
@@ -37,12 +38,6 @@ from nstepdet.identities import (
 SEED = 0
 
 
-def _random_square(rng, order, bound):
-    return IntMatrix.from_rows(
-        [[rng.randint(-bound, bound) for _ in range(order)]
-         for _ in range(order)])
-
-
 def _finish(name: str, start: float, budget_s: float | None = None) -> None:
     elapsed = time.perf_counter() - start
     if budget_s is not None:
@@ -60,7 +55,7 @@ def test_01_signed_minor_product_rule_exhaustive():
     for n in (2, 3, 4):
         for r in range(1, 5):
             for _ in range(20):
-                a = _random_square(rng, n, 9)
+                a = random_matrix(rng, n, 9)
                 for deleted in combinations(range(1, n + r), r):
                     rec = check_prop1(a, r, deleted)
                     assert rec.passed, (n, r, deleted, a.to_rows())
@@ -153,7 +148,7 @@ def test_07_determinant_oracle_equivalence():
     rng = random.Random(SEED)
     for i in range(500):
         order = 1 + i % 6
-        m = _random_square(rng, order, 99)
+        m = random_matrix(rng, order, 99)
         assert det_bareiss(m) == det_laplace(m), m.to_rows()
     _finish("07 determinant oracle equivalence (500 matrices)", start, 5.0)
 

@@ -10,6 +10,7 @@ from hypothesis import given, settings, strategies as st
 
 import nstepdet
 
+from nstepdet.cli import random_matrix
 from nstepdet.exact_linalg import (
     DimensionError,
     IntMatrix,
@@ -34,11 +35,6 @@ from nstepdet.construction import (
 )
 
 M = IntMatrix.from_rows
-
-
-def random_square(rng, order, bound=9):
-    return M([[rng.randint(-bound, bound) for _ in range(order)]
-              for _ in range(order)])
 
 
 def run_child(code, *interpreter_flags):
@@ -163,7 +159,7 @@ class TestExtendColumns:
 class TestMinorByDeletion:
     def test_leading_deletion_keeps_tail(self):
         rng = random.Random(12)
-        a = random_square(rng, 3)
+        a = random_matrix(rng, 3, 9)
         ext = extend_columns(a, 2)
         minor = minor_by_deletion(ext, [1, 2])
         assert minor == M([[row[2], row[3], row[4]] for row in ext.to_rows()])
@@ -258,14 +254,14 @@ class TestCheckProp1:
         for n in (2, 3):
             for r in range(1, 4):
                 for _ in range(5):
-                    a = random_square(rng, n)
+                    a = random_matrix(rng, n, 9)
                     for deleted in combinations(range(1, n + r), r):
                         rec = check_prop1(a, r, deleted)
                         assert rec.passed, (n, r, deleted, a.to_rows())
 
     def test_minor_value_against_laplace(self):
         rng = random.Random(14)
-        a = random_square(rng, 3)
+        a = random_matrix(rng, 3, 9)
         ext = extend_columns(a, 2)
         for deleted in combinations(range(1, 5), 2):
             rec = check_prop1(a, 2, deleted)
@@ -279,7 +275,7 @@ class TestCheckProp1:
                 deleted = list(range(1, r + 1))
                 pair = []
                 while len(pair) < 2:
-                    a = random_square(rng, n)
+                    a = random_matrix(rng, n, 9)
                     if det_bareiss(a) != 0:
                         pair.append(a)
                 rec_a = check_prop1(pair[0], r, deleted)

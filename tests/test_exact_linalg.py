@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from nstepdet.cli import random_matrix
 from nstepdet.exact_linalg import (
     LAPLACE_MAX_ORDER,
     DimensionError,
@@ -21,11 +22,6 @@ from nstepdet.exact_linalg import (
 )
 
 M = IntMatrix.from_rows
-
-
-def random_square(rng, order, bound=9):
-    return M([[rng.randint(-bound, bound) for _ in range(order)]
-              for _ in range(order)])
 
 
 class TestCheckAtLeast:
@@ -50,6 +46,12 @@ class TestIntMatrix:
         with pytest.raises(DimensionError):
             IntMatrix(0, 1, ())
 
+    def test_non_int_sides_rejected(self):
+        # A float side would pass the entry count and fail later in range().
+        for rows, cols in ((2.0, 1), (1, True), (True, True)):
+            with pytest.raises(DimensionError, match="int by int"):
+                IntMatrix(rows, cols, (1,) * int(rows * cols))
+
     def test_ragged_rejected(self):
         with pytest.raises(DimensionError):
             M([[1, 2], [3]])
@@ -63,6 +65,23 @@ class TestIntMatrix:
             IntMatrix(1, 2, (1, 2.5))
         with pytest.raises(DimensionError):
             IntMatrix.from_rows([[True, False], [False, True]])
+        # A list would make the matrix unhashable and unequal to its tuple twin.
+        with pytest.raises(DimensionError, match="tuple"):
+            IntMatrix(2, 2, [1, 2, 3, 4])
+        with pytest.raises(DimensionError, match="ints"):
+            IntMatrix(1, 3, (1, True, 2.0))
+        with pytest.raises(DimensionError, match="ints"):
+            IntMatrix.from_rows([[1, "2"]])
+
+    def test_to_rows_returns_fresh_lists(self):
+        # det_bareiss eliminates in place on the rows it gets.
+        m = M([[0, 2, 1], [3, 1, 4], [1, 5, 9]])
+        twin = M(m.to_rows())
+        rows = m.to_rows()
+        rows[0][0] = 7
+        assert m.to_rows()[0][0] == 0
+        assert det_bareiss(m) == det_laplace(m)
+        assert m == twin and m.entries == (0, 2, 1, 3, 1, 4, 1, 5, 9)
 
     def test_entry_out_of_range(self):
         m = M([[1, 2], [3, 4]])
@@ -112,7 +131,7 @@ class TestDeterminants:
         rng = random.Random(1)
         for trial in range(160):
             order = 1 + trial % LAPLACE_MAX_ORDER
-            m = random_square(rng, order)
+            m = random_matrix(rng, order, 9)
             assert det_bareiss(m) == det_laplace(m)
 
     def test_bareiss_equals_berkowitz_above_laplace_guard(self):
@@ -122,7 +141,7 @@ class TestDeterminants:
         rng = random.Random(3)
         for order in range(LAPLACE_MAX_ORDER + 1, 21):
             for _ in range(2):
-                m = random_square(rng, order)
+                m = random_matrix(rng, order, 9)
                 berkowitz = sympy.Matrix(m.to_rows()).det(method="berkowitz")
                 assert det_bareiss(m) == int(berkowitz), order
 
@@ -147,7 +166,7 @@ class TestDeterminants:
         rng = random.Random(2)
         for _ in range(20):
             order = rng.randint(2, 5)
-            m = random_square(rng, order)
+            m = random_matrix(rng, order, 9)
             col = rng.randint(1, order)
             doubled = M([
                 [2 * e if k == col else e for k, e in enumerate(row, start=1)]
@@ -170,7 +189,7 @@ class TestTranspose:
     def test_det_preserved(self):
         rng = random.Random(4)
         for _ in range(20):
-            m = random_square(rng, rng.randint(1, 6))
+            m = random_matrix(rng, rng.randint(1, 6), 9)
             assert det_bareiss(transpose(m)) == det_bareiss(m)
 
     def test_det_preserved_on_docagne_matrix(self):
@@ -192,14 +211,14 @@ class TestReverseColumns:
     def test_order_four_det_unchanged(self):
         rng = random.Random(5)
         for _ in range(10):
-            m = random_square(rng, 4)
+            m = random_matrix(rng, 4, 9)
             assert det_bareiss(reverse_columns(m)) == det_bareiss(m)
 
     def test_sign_rule_all_orders(self):
         rng = random.Random(6)
         for order in range(1, 7):
             for _ in range(5):
-                m = random_square(rng, order)
+                m = random_matrix(rng, order, 9)
                 expect = det_bareiss(m) if (order // 2) % 2 == 0 else -det_bareiss(m)
                 assert det_bareiss(reverse_columns(m)) == expect
 
@@ -230,7 +249,7 @@ class TestSelectColumns:
         rng = random.Random(7)
         for _ in range(10):
             n, r = rng.randint(2, 4), rng.randint(1, 3)
-            a = random_square(rng, n)
+            a = random_matrix(rng, n, 9)
             aext = extend_columns(a, r)
             deleted = sorted(rng.sample(range(1, n + r), r))
             kept = [k for k in range(1, n + r + 1) if k not in deleted]

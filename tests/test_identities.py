@@ -5,14 +5,17 @@ import random
 import pytest
 
 import nstepdet.identities
+from nstepdet.cli import random_matrix
 from nstepdet.exact_linalg import (
     DimensionError,
     IntMatrix,
     det_bareiss,
     det_laplace,
     reverse_columns,
+    select_columns,
     transpose,
 )
+from nstepdet.construction import extend_columns
 from nstepdet.nstep_seq import CLASSIC, PAPER_POWERS, custom, term
 from nstepdet.identities import (
     CASSINI,
@@ -33,11 +36,6 @@ from nstepdet.identities import (
 )
 
 M = IntMatrix.from_rows
-
-
-def random_square(rng, order, bound=9):
-    return M([[rng.randint(-bound, bound) for _ in range(order)]
-              for _ in range(order)])
 
 
 class TestCassini:
@@ -177,7 +175,7 @@ class TestGeneralizedDOcagne:
     def test_random_sweep_including_singular(self):
         rng = random.Random(21)
         for _ in range(20):
-            a = random_square(rng, 3)
+            a = random_matrix(rng, 3, 9)
             for r in range(1, 6):
                 assert generalized_docagne(a, r).passed
 
@@ -208,7 +206,7 @@ class TestRatioInvariance:
             for r in range(1, 5):
                 mats = []
                 while len(mats) < 2:
-                    a = random_square(rng, n)
+                    a = random_matrix(rng, n, 9)
                     if det_bareiss(a) != 0:
                         mats.append(a)
                 assert ratio_invariance(mats[0], mats[1], r).passed
@@ -282,6 +280,43 @@ class TestBuildersAgainstTerm:
                     assert got.to_rows() == want, case
                     lo, hi = min(map(min, at)), max(map(max, at))
                     assert calls == [(n, conv, lo, hi)], case
+
+
+def _extend_last(m, steps):
+    """Columns {1..n-1, n+steps} of the ``steps``-step extension of ``m``."""
+    n = m.rows
+    return select_columns(extend_columns(m, steps), (*range(1, n), n + steps))
+
+
+class TestReductionOracles:
+    # The paper reaches each family through a column extension of a simpler
+    # matrix. The builders stay independent; the reduction is a second route
+    # to the same matrix, so a bug in a builder shows as two routes that
+    # disagree.
+    @pytest.mark.parametrize("n", range(2, 7))
+    def test_docagne_is_the_extended_cassini_matrix(self, n):
+        for make_conv in _CONVENTIONS:
+            conv = make_conv(n)
+            for r in range(1, 8):
+                cassini = cassini_matrix(n, r, conv)
+                for s in range(2, 7):
+                    docagne = docagne_matrix(n, r, s, conv)
+                    assert docagne == _extend_last(cassini, s - 1), (n, r, s, conv)
+                    gen = generalized_docagne(cassini, s - 1)
+                    assert gen.passed and gen.lhs == det_bareiss(docagne), (n, r, s, conv)
+
+    @pytest.mark.parametrize("n", range(2, 7))
+    def test_vajda_is_the_hankel_window_extended_both_ways(self, n):
+        for make_conv in _CONVENTIONS:
+            conv = make_conv(n)
+            for r in range(1, 8):
+                hankel = M([[term(n, conv, r - n + i + k) for k in range(1, n + 1)]
+                            for i in range(1, n + 1)])
+                for p in range(2, 6):
+                    cols = _extend_last(hankel, p - 1)
+                    for q in range(2, 6):
+                        both = transpose(_extend_last(transpose(cols), q - 1))
+                        assert both == vajda_matrix(n, r, p, q, conv), (n, r, p, q, conv)
 
 
 class TestVerificationRecord:

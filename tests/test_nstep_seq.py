@@ -41,6 +41,12 @@ class TestSeeds:
         assert seed_block(2, conv) == (5, 7)
         assert term(2, conv, 3) == 12
 
+    @pytest.mark.parametrize("seeds", [[1.9, 1], [True, 1], ["3", "4"], [2, 1.0]])
+    def test_custom_seeds_must_be_exact_ints(self, seeds):
+        # int() would turn [1.9, True] into the Fibonacci seeds (1, 1).
+        with pytest.raises(ValueError, match="seeds must be ints"):
+            custom(seeds)
+
     def test_custom_length_must_match(self):
         with pytest.raises(ValueError):
             seed_block(3, custom([1, 2]))

@@ -1,0 +1,125 @@
+"""Mutation catalogue: every mutant below must make the tier-1 tests fail.
+
+Each mutant is one exact text replacement in one file under ``src/``. For
+each, the script copies the repository to a temporary directory, applies
+the replacement there (the old text must occur exactly once), runs
+``python -m pytest -x -q tests/`` in the copy (without
+``tests/test_mutants.py``, which checks the catalogue itself) and requires
+a nonzero exit. A mutant the tests let through is a gap in the tests:
+fix the tests, never loosen or drop the mutant. A refactor that moves or
+rewrites an old text updates the catalogue (``tests/test_mutants.py``
+fails until it does).
+
+Usage (stdlib only, run from anywhere): ``python tools/mutants.py``.
+
+The unmutated copy is run first and must pass, or no mutant is judged
+(exit 2). Then one line per mutant names the first test that failed; the
+script exits 1 if any mutant survives. A run that times out counts as
+surviving. A killed mutant takes 2-20 s under ``-x``, the unmutated run
+about half a minute.
+"""
+
+from __future__ import annotations
+
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+import time
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+TIMEOUT_S = 600
+
+# (name, file relative to the repository root, exact old text, new text)
+MUTANTS = (
+    ("vajda-corner-off-by-one", "src/nstepdet/identities.py",
+     "+ (q - 1) * (i == n))",
+     "+ (q - 1) * (i == n) + (i == k == n))"),
+    ("sweep-total-off-by-one", "src/nstepdet/nstep_seq.py",
+     "total += total - values[j]",
+     "total += total - values[j + 1]"),
+    ("build-p-without-minus-one", "src/nstepdet/construction.py",
+     "[1] * n + [-1] + [0] * r",
+     "[1] * n + [0] + [0] * r"),
+    ("batch-sign-check-removed", "src/nstepdet/construction.py",
+     "_checked_sign(sel), det_bareiss(q)))",
+     "_deleted_sign(sel), det_bareiss(q)))"),
+    ("prop1-grid-cap-removed", "src/nstepdet/cli.py",
+     '_check_cap(due, "records", "--n, --r or --trials")',
+     "pass"),
+    ("matrix-entry-type-check-dropped", "src/nstepdet/exact_linalg.py",
+     "if type(e) is not int:",
+     "if False:"),
+    ("matrix-side-type-check-dropped", "src/nstepdet/exact_linalg.py",
+     "type(rows) is type(cols) is int and ",
+     ""),
+    ("matrix-entries-tuple-check-dropped", "src/nstepdet/exact_linalg.py",
+     "if type(entries) is not tuple:",
+     "if False:"),
+    ("custom-seed-int-check-dropped", "src/nstepdet/nstep_seq.py",
+     "if type(s) is not int:",
+     "if False:"),
+)
+
+_SKIP = shutil.ignore_patterns(
+    ".git", "__pycache__", ".hypothesis", ".pytest_cache", "*.pyc")
+
+
+def run_tests(mutant: tuple[str, str, str] | None) -> tuple[int | None, str, float]:
+    """(pytest exit code, or None on timeout; first failing test; seconds)
+    on a temporary copy of the tree with ``mutant`` (path, old, new) applied."""
+    with tempfile.TemporaryDirectory(prefix="mutant-") as tmp:
+        tree = Path(tmp) / "repo"
+        shutil.copytree(ROOT, tree, ignore=_SKIP)
+        if mutant is not None:
+            path, old, new = mutant
+            target = tree / path
+            text = target.read_text(encoding="utf-8")
+            if text.count(old) != 1:
+                raise SystemExit(f"{path}: old text must occur exactly once: {old!r}")
+            target.write_text(text.replace(old, new), encoding="utf-8")
+        env = dict(os.environ, PYTHONPATH=str(tree / "src"),
+                   PYTHONDONTWRITEBYTECODE="1")
+        started = time.perf_counter()
+        try:
+            # The catalogue's own test would fail on every mutant, whose old
+            # text is gone from the copy, and so hide what the other tests see.
+            proc = subprocess.run(
+                [sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider",
+                 "--ignore=tests/test_mutants.py", "tests/"],
+                cwd=tree, env=env, capture_output=True, text=True, timeout=TIMEOUT_S)
+        except subprocess.TimeoutExpired:
+            return None, "", time.perf_counter() - started
+        failed = next((line.split()[1] for line in proc.stdout.splitlines()
+                       if line.startswith(("FAILED ", "ERROR "))), "")
+        return proc.returncode, failed, time.perf_counter() - started
+
+
+def main() -> int:
+    # A copy that already fails would make every mutant look killed.
+    code, failed, seconds = run_tests(None)
+    if code != 0:
+        why = "timed out" if code is None else f"exit {code} {failed}".rstrip()
+        print(f"the unmutated copy does not pass ({why}); no mutant can be judged",
+              file=sys.stderr)
+        return 2
+    print(f"passed   unmutated tree ({seconds:.1f} s)", flush=True)
+    survivors = []
+    for name, path, old, new in MUTANTS:
+        code, failed, seconds = run_tests((path, old, new))
+        # A hang is not a clean kill: a timeout counts as surviving.
+        killed = code not in (0, None)
+        print(f"{'killed  ' if killed else 'SURVIVED'} {name} ({seconds:.1f} s)"
+              f"{'  by ' + failed if failed else ''}", flush=True)
+        if not killed:
+            survivors.append(name)
+    if survivors:
+        print(f"{len(survivors)} mutant(s) survived: {', '.join(survivors)}")
+        return 1
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
