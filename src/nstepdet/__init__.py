@@ -12,7 +12,6 @@ from .exact_linalg import (
     transpose,
     reverse_columns,
     select_columns,
-    sum_columns,
     parse_matrix,
     format_matrix,
 )

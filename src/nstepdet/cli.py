@@ -7,7 +7,9 @@ Reports come in three formats (``table`` for humans, ``json`` canonical,
 more than ``MAX_RECORDS`` records or terms and an ``--out`` path that
 cannot be written. Big integers are serialized as
 decimal strings, never as native numbers. Given identical flags and seed,
-all output except wall-time fields is byte-identical across runs.
+all output except wall-time fields is byte-identical across runs. A
+report's ``params`` are its subcommand's flags as parsed, in the order
+``build_parser`` declares them, without ``--format`` and ``--out``.
 
 Every JSON report (``seq``, ``verify``, ``prop1``, ``bench``) is written by
 ``canonical_json``, one writer keyed on each value's type whose text is
@@ -66,7 +68,7 @@ _VERIFY_KINDS = tuple(sorted([*FAMILIES, GEN_DOCAGNE]))
 MAX_RECORDS = 10**6
 
 
-class UsageError(Exception):
+class UsageError(ValueError):
     """Flag combination or value the parser syntax cannot catch."""
 
 
@@ -252,24 +254,18 @@ def _record_dict(case: dict, lhs: int, rhs: int) -> dict:
     return {"case": case, "lhs": str(lhs), "rhs": str(rhs), "pass": lhs == rhs}
 
 
-def _check_trials_bound(args: argparse.Namespace) -> None:
-    if args.trials < 1:
-        raise UsageError(f"--trials must be >= 1, got {args.trials}")
-    if args.bound < 0:
-        raise UsageError(f"--bound must be >= 0, got {args.bound}")
-
-
-def _finish(args: argparse.Namespace, params: tuple[str, ...], records: list[dict],
-            timings: dict, started: float) -> int:
-    """Emit the report of ``records``, with the named flags as its params,
-    and return the exit code."""
+def _finish(args: argparse.Namespace, records: list[dict], timings: dict,
+            started: float) -> int:
+    """Emit the report of ``records``, its params in the order
+    ``build_parser`` declares them, and return the exit code."""
     if not records:
         raise UsageError("the sweep produced no records, so nothing was checked")
     timings["total"] = (time.perf_counter() - started) * 1000.0
     passed = sum(1 for rec in records if rec["pass"])
     summary = {"total": len(records), "passed": passed, "failed": len(records) - passed}
     report = {"version": __version__, "command": args.command,
-              "params": {key: getattr(args, key) for key in params},
+              "params": {key: value for key, value in vars(args).items()
+                         if key not in ("command", "func", "format", "out")},
               "records": records, "summary": summary, "timings_ms": timings}
     write = {"json": canonical_json, "csv": report_to_csv}.get(args.format, report_to_table)
     _write_output(write(report), args.out,
@@ -344,7 +340,8 @@ def _plan_sweep(kind: str, args: argparse.Namespace, conventions, rng: Random,
 
 def cmd_verify(args: argparse.Namespace) -> int:
     started = time.perf_counter()
-    _check_trials_bound(args)
+    check_at_least(1, trials=args.trials)
+    check_at_least(0, bound=args.bound)
     kinds = list(_VERIFY_KINDS) if args.kind == "all" else [args.kind]
     if args.convention == "both":
         conventions = tuple(_CONVENTIONS.values())
@@ -359,8 +356,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
     plans = [_plan_sweep(kind, args, conventions, rng, base_matrix) for kind in kinds]
     _check_cap(sum(size for size, _ in plans), "records", "the ranges or --trials")
     records = [rec for _, sweep in plans for rec in sweep()]
-    return _finish(args, ("kind", "n", "r", "s", "p", "q", "convention", "trials",
-                          "bound", "matrix", "seed"), records, {}, started)
+    return _finish(args, records, {}, started)
 
 
 # --------------------------------------------------------------------------
@@ -369,7 +365,8 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
 def cmd_prop1(args: argparse.Namespace) -> int:
     started = time.perf_counter()
-    _check_trials_bound(args)
+    check_at_least(1, trials=args.trials)
+    check_at_least(0, bound=args.bound)
     r_values = parse_range(args.r)
     base_matrix = parse_matrix(args.matrix) if args.matrix else None
     if base_matrix is not None:
@@ -404,8 +401,7 @@ def cmd_prop1(args: argparse.Namespace) -> int:
                     case = {"kind": "prop1", "n": n, "r": r, "trial": trial,
                             "deleted": list(rec.deleted)}
                     records.append(_record_dict(case, rec.minor_value, rec.rhs))
-    return _finish(args, ("n", "r", "trials", "bound", "matrix", "seed"),
-                   records, {}, started)
+    return _finish(args, records, {}, started)
 
 
 # --------------------------------------------------------------------------
@@ -438,7 +434,8 @@ def cmd_bench(args: argparse.Namespace) -> int:
                     "convention": args.convention}
             records.append(_record_dict(case, fast, slow))
     else:  # bareiss-vs-laplace
-        _check_trials_bound(args)
+        check_at_least(1, trials=args.trials)
+        check_at_least(0, bound=args.bound)
         orders = parse_sizes(args.order)
         _check_cap(_size(orders) * args.trials, "records", "--order or --trials")
         bad = [order for order in orders if not 1 <= order <= LAPLACE_MAX_ORDER]
@@ -459,8 +456,7 @@ def cmd_bench(args: argparse.Namespace) -> int:
                 case = {"kind": "bench", "task": args.task, "order": order,
                         "trial": trial}
                 records.append(_record_dict(case, db, dl))
-    return _finish(args, ("task", "n", "k", "order", "trials", "bound", "convention",
-                          "seed"), records, timings, started)
+    return _finish(args, records, timings, started)
 
 
 # --------------------------------------------------------------------------
@@ -555,7 +551,7 @@ def main(argv=None) -> int:
         return exc.code if isinstance(exc.code, int) else EXIT_USAGE
     try:
         return args.func(args)
-    except (UsageError, ValueError, OSError) as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

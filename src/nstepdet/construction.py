@@ -133,10 +133,8 @@ def build_P(n: int, r: int) -> IntMatrix:
 
 def build_Q(n: int, r: int, rows: Iterable[int]) -> IntMatrix:
     """The r x r submatrix of ``build_P(n, r)`` lying in the given rows."""
-    check_at_least(2, n=n)
-    check_at_least(1, r=r)
-    rows = check_indices("row", rows, 1, n + r - 1, count=r)
     p = build_P(n, r)
+    rows = check_indices("row", rows, 1, n + r - 1, count=r)
     return IntMatrix.from_rows([p.row(i) for i in rows])
 
 

@@ -9,11 +9,12 @@ production determinant is fraction-free (Bareiss) elimination;
 ``det_laplace`` is a deliberately independent cofactor-expansion oracle,
 guarded to small orders so the two evaluators can cross-check each other.
 
-Each input rule is checked in one place: ``check_at_least`` for a lower
-bound on integer parameters, ``check_square`` for square matrices sharing
-one order (raising ``DimensionError``), and ``check_indices`` for strictly
-ascending index lists within bounds and of a given length (raising
-``SelectionError``). Every module validates through these three.
+Each input rule is checked in one place, and no bool or float passes for
+an int: ``check_at_least`` for integer parameters with a lower bound,
+``check_square`` for square matrices sharing one order (raising
+``DimensionError``), and ``check_indices`` for strictly ascending index
+lists within bounds and of a given length (raising ``SelectionError``).
+Every module validates through these three.
 """
 
 from __future__ import annotations
@@ -37,7 +38,6 @@ __all__ = [
     "transpose",
     "reverse_columns",
     "select_columns",
-    "sum_columns",
     "parse_matrix",
     "format_matrix",
 ]
@@ -62,8 +62,10 @@ class SizeGuardError(ValueError):
 
 
 def check_at_least(least: int, **params: int) -> None:
-    """Raise ValueError naming the first parameter whose value is below ``least``."""
+    """Raise ValueError naming the first parameter not an exact int or below ``least``."""
     for name, value in params.items():
+        if type(value) is not int:
+            raise ValueError(f"parameter {name} must be an int, got {value!r}")
         if value < least:
             raise ValueError(f"parameter {name} must be >= {least}, got {value}")
 
@@ -83,11 +85,13 @@ def check_square(what: str, *mats: IntMatrix) -> int:
 
 def check_indices(what: str, values: Iterable[int], lo: int, hi: int | None = None,
                   count: int | None = None) -> tuple[int, ...]:
-    """``values`` as a tuple, checked to be strictly ascending, within
-    ``lo..hi`` (no upper bound if ``hi`` is None) and, if ``count`` is
-    given, exactly that many; SelectionError naming ``what`` otherwise.
+    """``values`` as a tuple, checked to be exact ints, strictly ascending,
+    within ``lo..hi`` (no upper bound if ``hi`` is None) and, if ``count``
+    is given, exactly that many; SelectionError naming ``what`` otherwise.
     Lists are never repaired: the sign formulas depend on the given order."""
     values = tuple(values)
+    if any(type(v) is not int for v in values):
+        raise SelectionError(f"{what} indices must be ints: {list(values)}")
     if count is not None and len(values) != count:
         raise SelectionError(f"{what} needs exactly {count} indices, got {len(values)}")
     if any(a >= b for a, b in zip(values, values[1:])):
@@ -256,13 +260,6 @@ def select_columns(m: IntMatrix, kept: Iterable[int]) -> IntMatrix:
         raise SelectionError("kept column list is empty")
     return IntMatrix.from_rows(
         [[row[k - 1] for k in kept] for row in m.to_rows()])
-
-
-def sum_columns(m: IntMatrix, lo: int, hi: int) -> tuple[int, ...]:
-    """Entrywise sum of columns ``lo..hi`` inclusive (1-based)."""
-    if not 1 <= lo <= hi <= m.cols:
-        raise RangeError(f"column range {lo}..{hi} not within 1..{m.cols}")
-    return tuple(sum(row[lo - 1:hi]) for row in m.to_rows())
 
 
 def parse_matrix(text: str) -> IntMatrix:

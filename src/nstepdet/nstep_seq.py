@@ -1,4 +1,5 @@
-"""n-step Fibonacci numbers at any integer index.
+"""n-step Fibonacci numbers at any integer index. Each index must be an
+exact int: a bool or float index raises ValueError, never rounds.
 
 Each term is the sum of its n predecessors. Seeds for indices 1..n come
 from one of three conventions:
@@ -92,9 +93,15 @@ def seed_block(n: int, conv: Convention) -> tuple[int, ...]:
     raise ValueError(f"unknown convention {conv.name!r}")
 
 
+def _check_term_indices(*indices: int) -> None:
+    if any(type(k) is not int for k in indices):
+        raise ValueError(f"term indices must be ints, got {list(indices)}")
+
+
 def term(n: int, conv: Convention, k: int) -> int:
     """Term ``k`` (any integer) by walking the recurrence from the seeds."""
     seeds = seed_block(n, conv)
+    _check_term_indices(k)
     if 1 <= k <= n:
         return seeds[k - 1]
     if k > n:
@@ -206,6 +213,7 @@ def _window_at(c: list[int], seeds: tuple[int, ...]) -> list[int]:
 def terms_range(n: int, conv: Convention, lo: int, hi: int) -> list[int]:
     """Terms ``lo..hi`` inclusive: the first n by polynomial reduction, the
     rest by one forward sweep."""
+    _check_term_indices(lo, hi)
     if lo > hi:
         raise RangeError(f"empty index range {lo}..{hi}")
     window = _window_at(_x_pow(n, lo - 1), seed_block(n, conv))
@@ -223,6 +231,7 @@ def term_fast(n: int, conv: Convention, k: int) -> int:
     (big-integer arithmetic aside).
     """
     seeds = seed_block(n, conv)
+    _check_term_indices(k)
     u = (k - 1) // 2
     c = _x_pow(n, u)
     window = _window_at(c if 2 * u == k - 1 else _times_x(c), seeds)

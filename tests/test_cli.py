@@ -405,12 +405,14 @@ class TestBench:
         assert time.perf_counter() - started < 5.0
 
     def test_bad_trials_or_bound_is_usage_error(self, capsys):
-        for flags in (("--trials", "0"), ("--bound", "-2")):
+        for flags, message in (
+                (("--trials", "0"), "parameter trials must be >= 1, got 0"),
+                (("--bound", "-2"), "parameter bound must be >= 0, got -2")):
             code, out, err = run(capsys, "bench", "bareiss-vs-laplace",
                                  "--order", "6", *flags)
             assert code == EXIT_USAGE, flags
             assert out == ""
-            assert err.startswith("error: --"), err
+            assert err == f"error: {message}\n"
 
     @pytest.mark.parametrize("argv, keys", [
         (("term-fast-vs-iter", "--k", "5,5"), ["iter[k=5]", "fast[k=5]"]),

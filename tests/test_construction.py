@@ -17,7 +17,6 @@ from nstepdet.exact_linalg import (
     SelectionError,
     det_bareiss,
     det_laplace,
-    sum_columns,
 )
 from nstepdet.nstep_seq import PAPER_POWERS, term
 from nstepdet.construction import (
@@ -144,12 +143,6 @@ class TestExtendColumns:
                 sum(vals) for vals in zip(
                     *(ext.column(k - j) for j in range(1, n + 1))))
             assert ext.column(k) == total
-
-    def test_agrees_with_sum_columns(self):
-        a = M([[3, -1, 2], [0, 4, 1], [5, 2, -2]])
-        ext = extend_columns(a, 2)
-        assert ext.column(4) == sum_columns(ext, 1, 3)
-        assert ext.column(5) == sum_columns(ext, 2, 4)
 
     def test_non_square_rejected(self):
         with pytest.raises(DimensionError):

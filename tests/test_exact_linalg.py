@@ -17,7 +17,6 @@ from nstepdet.exact_linalg import (
     parse_matrix,
     reverse_columns,
     select_columns,
-    sum_columns,
     transpose,
 )
 
@@ -254,24 +253,6 @@ class TestSelectColumns:
             deleted = sorted(rng.sample(range(1, n + r), r))
             kept = [k for k in range(1, n + r + 1) if k not in deleted]
             assert select_columns(aext, kept) == minor_by_deletion(aext, deleted)
-
-
-class TestSumColumns:
-    def test_single_column(self):
-        m = M([[1, 2], [0, 1]])
-        assert sum_columns(m, 2, 2) == (2, 1)
-
-    def test_pair(self):
-        assert sum_columns(M([[1, 2], [0, 1]]), 1, 2) == (3, 1)
-
-    def test_bad_range(self):
-        m = M([[1, 2], [0, 1]])
-        with pytest.raises(RangeError):
-            sum_columns(m, 2, 1)
-        with pytest.raises(RangeError):
-            sum_columns(m, 0, 1)
-        with pytest.raises(RangeError):
-            sum_columns(m, 1, 3)
 
 
 class TestLiterals:

@@ -1,7 +1,8 @@
 """Each input rule is checked by one function of ``exact_linalg``:
-``check_square`` for square matrices of one order and ``check_indices`` for
-index lists. The tables below pin, per public entry point, which inputs are
-rejected and with which exception type."""
+``check_at_least`` for integer parameters, ``check_square`` for square
+matrices of one order and ``check_indices`` for index lists. The tables
+below pin, per public entry point, which inputs are rejected and with which
+exception type. A bool or float never passes for an int."""
 
 import ast
 from pathlib import Path
@@ -9,11 +10,13 @@ from pathlib import Path
 import pytest
 
 from nstepdet.construction import (
+    build_P,
     build_Q,
     check_prop1,
     check_prop1_all,
     extend_columns,
     minor_by_deletion,
+    minor_selection,
     sign_from_deleted,
     sign_from_kept,
 )
@@ -27,7 +30,7 @@ from nstepdet.exact_linalg import (
     det_laplace,
     select_columns,
 )
-from nstepdet.identities import generalized_docagne, ratio_invariance
+from nstepdet.identities import generalized_docagne, ratio_invariance, verify_cassini
 
 M = IntMatrix.from_rows
 SQUARE2 = M([[2, 1], [1, 1]])
@@ -56,6 +59,8 @@ BAD_INDEX_LISTS = [
     ("select_columns", "wrong count", ()),
     *((name, "wrong count", (1,)) for name in INDEX_TAKERS if name != "select_columns"),
     *((name, "wrong count", (1, 2, 3)) for name in INDEX_TAKERS if name != "select_columns"),
+    *((name, "bool index", (True, 2)) for name in INDEX_TAKERS),
+    *((name, "float index", (1.0, 2)) for name in INDEX_TAKERS),
 ]
 
 
@@ -76,6 +81,21 @@ def test_bad_index_list_rejected(name, rule, idx):
         "deleted-iterator"])
 def test_good_index_list_accepted(call, expected):
     assert call() == expected
+
+
+@pytest.mark.parametrize("call, error", [
+    (lambda: build_P(2, True), "^parameter r must be an int, got True$"),
+    (lambda: build_P(2.5, 1), "^parameter n must be an int, got 2.5$"),
+    (lambda: verify_cassini(2, True), "^parameter r must be an int, got True$"),
+    (lambda: verify_cassini(2.0, 1), "^parameter n must be an int, got 2.0$"),
+    (lambda: check_prop1(SQUARE2, True, [1]), "^parameter r must be an int, got True$"),
+    (lambda: minor_selection(2, 1, [True]), "^deleted column indices must be ints"),
+    (lambda: minor_selection(2, 1, [1.0]), "^deleted column indices must be ints"),
+], ids=["build-P-bool", "build-P-float", "cassini-bool", "cassini-float",
+        "prop1-bool", "selection-bool", "selection-float"])
+def test_bool_or_float_is_not_an_int(call, error):
+    with pytest.raises(ValueError, match=error):
+        call()
 
 
 # Entry point taking matrices, called with the given ones.

@@ -127,6 +127,27 @@ class TestTermsRange:
                 assert values == [term(n, conv, k) for k in range(-8, 41)]
 
 
+# Indices that are not exact ints; at each, term_fast(3, CLASSIC, 2.5) and
+# the like once returned a value, or failed with TypeError deep inside.
+BAD_INDICES = (1.5, 2.5, True, 2.0)
+
+
+class TestIndicesMustBeExactInts:
+    @pytest.mark.parametrize("k", BAD_INDICES)
+    @pytest.mark.parametrize("engine", [term, term_fast])
+    def test_single_term(self, engine, k):
+        for n in (2, 3):
+            with pytest.raises(ValueError, match="^term indices must be ints"):
+                engine(n, CLASSIC, k)
+
+    @pytest.mark.parametrize("k", BAD_INDICES)
+    def test_range_ends(self, k):
+        with pytest.raises(ValueError, match="^term indices must be ints"):
+            terms_range(2, CLASSIC, k, 3)
+        with pytest.raises(ValueError, match="^term indices must be ints"):
+            terms_range(2, CLASSIC, 1, k)
+
+
 class TestTermFast:
     def test_seed_case(self):
         for n in (2, 3, 5):

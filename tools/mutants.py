@@ -61,6 +61,15 @@ MUTANTS = (
     ("custom-seed-int-check-dropped", "src/nstepdet/nstep_seq.py",
      "if type(s) is not int:",
      "if False:"),
+    ("parameter-int-check-dropped", "src/nstepdet/exact_linalg.py",
+     "if type(value) is not int:",
+     "if False:"),
+    ("index-list-int-check-dropped", "src/nstepdet/exact_linalg.py",
+     "if any(type(v) is not int for v in values):",
+     "if False:"),
+    ("term-index-int-check-dropped", "src/nstepdet/nstep_seq.py",
+     "if any(type(k) is not int for k in indices):",
+     "if False:"),
 )
 
 _SKIP = shutil.ignore_patterns(
