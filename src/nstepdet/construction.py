@@ -19,11 +19,15 @@ Three builders and two checkers make up the machinery:
                            matrices of one order. Per-matrix work (the
                            extension, det of the matrix) is done once per
                            matrix, and P, the signs and each band
-                           determinant once per batch; each minor is still
-                           evaluated by its own Bareiss elimination. The
-                           per-deletion ``check_prop1`` stays the reference
-                           it is tested against, and the CLI rechecks one
-                           deletion per matrix through it.
+                           determinant once per batch. All minors of one
+                           extension come from one fraction-free walk over
+                           kept-column prefixes (``_kept_minor_dets``):
+                           minors that share their first kept columns share
+                           those elimination steps, and each value is still
+                           the last pivot of its own minor's elimination.
+                           The per-deletion ``check_prop1`` stays the
+                           reference it is tested against, and the CLI
+                           rechecks one deletion per matrix through it.
 
 A ``Prop1Record`` stores the minor's determinant and the three factors of
 the right side; ``rhs`` (their product) and ``passed`` are derived from
@@ -37,8 +41,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import chain, combinations
-from operator import itemgetter
-from typing import Iterable
+from typing import Iterable, Sequence
 
 from .exact_linalg import (
     DimensionError,
@@ -225,35 +228,105 @@ def check_prop1_all(mats: Iterable[IntMatrix], r: int) -> list[list[Prop1Record]
     combinations(range(1, n + r), r)]``. Work that does not depend on the
     deletion is done once: each matrix is extended and its determinant
     taken once, and P, the signs and every det Q once for the whole batch
-    (det Q does not depend on the matrix). Each minor is still assembled
-    from the extension's columns and evaluated by its own Bareiss
-    elimination, never derived from the rule it checks.
+    (det Q does not depend on the matrix). Every minor of one extension is
+    evaluated by fraction-free elimination of its own columns, shared
+    between minors only where their kept columns agree
+    (``_kept_minor_dets``), never derived from the rule it checks.
     """
     mats = list(mats)
     if not mats:
         return []
     n = check_square("check_prop1_all", *mats)
     p_rows = build_P(n, r).to_rows()
-    # (deleted, picker of a row's kept entries, sign, det Q) per deletion.
+    # (deleted, kept columns but the last, sign, det Q) per deletion.
     cell = []
     for deleted in combinations(range(1, n + r), r):
         sel = minor_selection(n, r, deleted)
         q = IntMatrix(
             r, r, tuple(chain.from_iterable(p_rows[i - 1] for i in sel.deleted)))
-        cell.append((sel.deleted, itemgetter(*(k - 1 for k in sel.kept)),
+        cell.append((sel.deleted, sel.kept[:-1],
                      _checked_sign(sel), det_bareiss(q)))
     batch = []
     for a in mats:
-        ext_rows = extend_columns(a, r).to_rows()
+        dets = _kept_minor_dets(extend_columns(a, r).to_rows())
         det_a = det_bareiss(a)
-        records = []
-        for deleted, pick, sign, det_q in cell:
-            # n >= 2 kept columns, so ``pick`` returns a tuple per row.
-            minor = IntMatrix(n, n, tuple(chain.from_iterable(map(pick, ext_rows))))
-            records.append(Prop1Record(
-                n, r, deleted, det_bareiss(minor), sign, det_q, det_a))
-        batch.append(records)
+        batch.append([Prop1Record(n, r, deleted, dets[kept], sign, det_q, det_a)
+                      for deleted, kept, sign, det_q in cell])
     return batch
+
+
+def _kept_minor_dets(ext_rows: list[list[int]]) -> dict[tuple[int, ...], int]:
+    """The determinant of every n x n minor of an n x (n+r) extension that
+    keeps its last column, keyed by its other n-1 kept columns (1-based).
+
+    A minor's transpose has the kept columns as its rows, in order, and
+    fraction-free (Bareiss) elimination of it uses only the first t of them
+    in its first t steps. So one depth-first walk over kept-column prefixes
+    does every minor's elimination: each node takes its newest column as
+    the pivot row and reduces every later candidate column and the last
+    column once against it. At depth n-1 the last column's one remaining
+    entry, times the sign, is the minor's determinant, the last pivot of
+    its own elimination. A zero pivot swaps the same two coordinates in
+    every vector of the subtree, which is one row interchange of each of
+    its minors, and flips their sign; a reduced pivot vector that is all
+    zero makes every minor below it 0. The walk keeps an explicit stack,
+    so its depth is not bounded by the recursion limit.
+    """
+    n = len(ext_rows)
+    *columns, last = zip(*ext_rows)
+    dets = {}
+    # (kept prefix, later candidate columns, their reduced vectors, reduced
+    #  last column, previous pivot, sign); a vector at depth t has n-t entries.
+    stack = [((), tuple(range(1, len(columns) + 1)), columns, last, 1, 1)]
+    while stack:
+        kept, cols, vecs, last, prev, sign = stack.pop()
+        more = n - 2 - len(kept)  # columns still to keep after the next one
+        for pos in range(len(cols) - more):
+            prefix, pivot = kept + (cols[pos],), vecs[pos]
+            later = vecs[pos + 1:] if more else []
+            tail, child_sign = last, sign
+            if not pivot[0]:
+                i = next((i for i, x in enumerate(pivot) if x), 0)
+                if not i:
+                    for rest in combinations(cols[pos + 1:], more):
+                        dets[prefix + rest] = 0
+                    continue
+                pivot, tail = _swap(pivot, i), _swap(tail, i)
+                later = [_swap(u, i) for u in later]
+                child_sign = -sign
+            tail, *later = _eliminate([tail, *later], pivot, prev)
+            if more:
+                stack.append((prefix, cols[pos + 1:], later, tail, pivot[0], child_sign))
+            else:
+                dets[prefix] = child_sign * tail[0]
+    return dets
+
+
+def _swap(u: Sequence[int], i: int) -> list[int]:
+    """``u`` with its first and i-th entries exchanged."""
+    u = list(u)
+    u[0], u[i] = u[i], u[0]
+    return u
+
+
+def _eliminate(vectors: list[Sequence[int]], pivot: Sequence[int],
+               prev: int) -> list[list[int]]:
+    """One fraction-free step: each vector reduced against ``pivot`` (whose
+    first entry is the pivot) and divided by the previous pivot, first entry
+    dropped. A nonzero remainder raises ArithmeticError, also under
+    ``python -O``."""
+    p, pivot_rest = pivot[0], pivot[1:]
+    reduced = []
+    for u in vectors:
+        f = u[0]
+        row = []
+        for x, y in zip(u[1:], pivot_rest):
+            quot, rem = divmod(x * p - f * y, prev)
+            if rem:
+                raise ArithmeticError("inexact division in fraction-free elimination")
+            row.append(quot)
+        reduced.append(row)
+    return reduced
 
 
 def q_fib_det(n: int, r: int) -> int:

@@ -4,10 +4,12 @@ Matrices here are small, dense and immutable, with entries kept as Python
 ints so nothing ever overflows or rounds. Every ``IntMatrix`` passes one
 constructor check: its sides are exact ints >= 1 and its entries a tuple
 of rows x cols exact ints (no bool, no float). No unchecked constructor
-exists. Row and column indices are 1-based at every public boundary. The
-production determinant is fraction-free (Bareiss) elimination;
-``det_laplace`` is a deliberately independent cofactor-expansion oracle,
-guarded to small orders so the two evaluators can cross-check each other.
+exists. Row and column indices are 1-based exact ints at every public
+boundary (``IntMatrix.entry``, ``row`` and ``column`` raise ``RangeError``
+otherwise). The production determinant is fraction-free (Bareiss)
+elimination; ``det_laplace`` is a deliberately independent
+cofactor-expansion oracle, guarded to small orders so the two evaluators
+can cross-check each other.
 
 Each input rule is checked in one place, and no bool or float passes for
 an int: ``check_at_least`` for integer parameters with a lower bound,
@@ -102,6 +104,11 @@ def check_indices(what: str, values: Iterable[int], lo: int, hi: int | None = No
     return values
 
 
+def _is_index(i: int, hi: int) -> bool:
+    """Whether ``i`` is an exact int (no bool, no float) in 1..hi."""
+    return type(i) is int and 1 <= i <= hi
+
+
 @dataclass(frozen=True)
 class IntMatrix:
     """Dense row-major matrix of Python ints; immutable and hashable."""
@@ -151,23 +158,23 @@ class IntMatrix:
             [[1 if i == j else 0 for j in range(order)] for i in range(order)])
 
     def entry(self, i: int, k: int) -> int:
-        """Entry in row ``i``, column ``k`` (both 1-based)."""
-        if not (1 <= i <= self.rows and 1 <= k <= self.cols):
+        """Entry in row ``i``, column ``k`` (both 1-based exact ints)."""
+        if not (_is_index(i, self.rows) and _is_index(k, self.cols)):
             raise RangeError(
-                f"entry ({i},{k}) outside {self.rows}x{self.cols} matrix")
+                f"entry ({i!r},{k!r}) outside {self.rows}x{self.cols} matrix")
         return self.entries[(i - 1) * self.cols + (k - 1)]
 
     def row(self, i: int) -> tuple[int, ...]:
-        """Row ``i`` (1-based) as a tuple."""
-        if not 1 <= i <= self.rows:
-            raise RangeError(f"row {i} outside 1..{self.rows}")
+        """Row ``i`` (a 1-based exact int) as a tuple."""
+        if not _is_index(i, self.rows):
+            raise RangeError(f"row {i!r} outside 1..{self.rows}")
         base = (i - 1) * self.cols
         return self.entries[base:base + self.cols]
 
     def column(self, k: int) -> tuple[int, ...]:
-        """Column ``k`` (1-based) as a tuple."""
-        if not 1 <= k <= self.cols:
-            raise RangeError(f"column {k} outside 1..{self.cols}")
+        """Column ``k`` (a 1-based exact int) as a tuple."""
+        if not _is_index(k, self.cols):
+            raise RangeError(f"column {k!r} outside 1..{self.cols}")
         return self.entries[k - 1::self.cols]
 
     def to_rows(self) -> list[list[int]]:

@@ -300,18 +300,71 @@ class TestCheckProp1:
         assert proc.returncode == 0, proc.stderr
 
 
+def draw_matrix(data, n, bound):
+    entries = st.lists(st.integers(-bound, bound), min_size=n, max_size=n)
+    return M(data.draw(st.lists(entries, min_size=n, max_size=n)))
+
+
+def assert_minors_match_laplace(a, r):
+    """Every minor of the batch equals the cofactor expansion of the minor
+    assembled from the extension, and the per-deletion record."""
+    ext = extend_columns(a, r)
+    [records] = check_prop1_all([a], r)
+    assert [rec.deleted for rec in records] == list(combinations(range(1, a.rows + r), r))
+    for rec in records:
+        assert rec.minor_value == det_laplace(minor_by_deletion(ext, rec.deleted))
+        assert rec == check_prop1(a, r, rec.deleted)
+
+
 class TestCheckProp1All:
     @settings(max_examples=60, deadline=None)
-    @given(data=st.data(), n=st.integers(2, 5), r=st.integers(1, 5),
+    @given(data=st.data(), n=st.integers(2, 6), r=st.integers(1, 5),
            bound=st.integers(0, 9), count=st.integers(1, 3))
     def test_equals_per_deletion_path(self, data, n, r, bound, count):
         # bound 0 gives the zero matrix, so singular inputs are covered.
-        entries = st.lists(st.integers(-bound, bound), min_size=n, max_size=n)
-        mats = [M(data.draw(st.lists(entries, min_size=n, max_size=n)))
-                for _ in range(count)]
+        mats = [draw_matrix(data, n, bound) for _ in range(count)]
         deletions = list(combinations(range(1, n + r), r))
         assert check_prop1_all(mats, r) == [
             [check_prop1(a, r, d) for d in deletions] for a in mats]
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data(), n=st.integers(2, 6), r=st.integers(1, 5),
+           bound=st.sampled_from((0, 1, 1, 9)))
+    def test_minors_against_laplace(self, data, n, r, bound):
+        # Entries in -1..1 make zero pivots, pivot swaps and singular
+        # minors common in the shared-prefix elimination.
+        assert_minors_match_laplace(draw_matrix(data, n, bound), r)
+
+    @pytest.mark.parametrize("rows", [
+        [[0, 0, 0], [1, 2, 3], [2, 5, 4]],
+        [[0, 0, 1], [1, 2, 3], [2, 5, 4]],
+        [[0, 0, 0, 1], [0, 1, 0, 2], [1, 0, 3, 0], [2, 1, 1, 1]],
+        [[1, 1, 2], [2, 2, 3], [3, 3, 5]],
+        [[1, 2, 3], [2, 4, 6], [1, 1, 1]],
+        [[0, 1], [0, 2]],
+    ], ids=["zero-first-row", "leading-zeros-in-first-row", "order-4-swaps",
+            "equal-columns", "proportional-rows", "zero-column"])
+    def test_zero_pivots_against_laplace(self, rows):
+        # A zero first row makes every first pivot zero; leading zeros force
+        # swaps among nonzero minors (so a lost sign shows); equal columns
+        # reduce a pivot vector to all zeros below a shared prefix.
+        for r in (1, 2, 3, 4):
+            assert_minors_match_laplace(M(rows), r)
+
+    def test_walk_division_check_survives_optimize_flag(self):
+        code = textwrap.dedent("""
+            import sys
+            from nstepdet.construction import _eliminate
+            if not sys.flags.optimize:
+                sys.exit(3)
+            try:
+                _eliminate([[1, 1]], [2, 1], 2)
+            except ArithmeticError:
+                sys.exit(0)
+            sys.exit(1)
+        """)
+        proc = run_child(code, "-O")
+        assert proc.returncode == 0, proc.stderr
 
     def test_minor_not_derived_from_the_rule(self, monkeypatch):
         # With a doubled band matrix every right side doubles; the minors,

@@ -23,6 +23,7 @@ from nstepdet.construction import (
 from nstepdet.exact_linalg import (
     DimensionError,
     IntMatrix,
+    RangeError,
     SelectionError,
     check_indices,
     check_square,
@@ -95,6 +96,20 @@ def test_good_index_list_accepted(call, expected):
         "prop1-bool", "selection-bool", "selection-float"])
 def test_bool_or_float_is_not_an_int(call, error):
     with pytest.raises(ValueError, match=error):
+        call()
+
+
+@pytest.mark.parametrize("call", [
+    lambda: SQUARE2.entry(True, 1),
+    lambda: SQUARE2.entry(1, 2.0),
+    lambda: SQUARE2.row(True),
+    lambda: SQUARE2.row(1.0),
+    lambda: SQUARE2.column(True),
+    lambda: SQUARE2.column(2.0),
+], ids=["entry-bool", "entry-float", "row-bool", "row-float", "column-bool",
+        "column-float"])
+def test_matrix_index_is_an_exact_int(call):
+    with pytest.raises(RangeError, match=r"(True|1\.0|2\.0)"):
         call()
 
 

@@ -19,6 +19,13 @@ def test_names_are_unique():
     assert len(names) == len(set(names))
 
 
+def test_minor_walk_mutants_are_catalogued():
+    # The shared-prefix walk's pivot-swap sign and carried divisor show only
+    # on inputs with zero pivots and on orders >= 3; keep both mutated.
+    names = {m[0] for m in mutants.MUTANTS}
+    assert {"minor-walk-swap-sign-kept", "minor-walk-divisor-one"} <= names
+
+
 @pytest.mark.parametrize("name, path, old, new", mutants.MUTANTS,
                          ids=[m[0] for m in mutants.MUTANTS])
 def test_old_text_occurs_once_in_src(name, path, old, new):

@@ -70,6 +70,18 @@ MUTANTS = (
     ("term-index-int-check-dropped", "src/nstepdet/nstep_seq.py",
      "if any(type(k) is not int for k in indices):",
      "if False:"),
+    ("matrix-index-int-check-dropped", "src/nstepdet/exact_linalg.py",
+     "return type(i) is int and 1 <= i <= hi",
+     "return 1 <= i <= hi"),
+    ("minor-walk-swap-sign-kept", "src/nstepdet/construction.py",
+     "child_sign = -sign",
+     "child_sign = sign"),
+    ("minor-walk-divisor-one", "src/nstepdet/construction.py",
+     "tail, pivot[0], child_sign))",
+     "tail, 1, child_sign))"),
+    ("minor-walk-zero-subtree-one", "src/nstepdet/construction.py",
+     "dets[prefix + rest] = 0",
+     "dets[prefix + rest] = 1"),
 )
 
 _SKIP = shutil.ignore_patterns(
