@@ -5,9 +5,12 @@ Reports come in three formats (``table`` for humans, ``json`` canonical,
 ``csv`` flat) and exit codes are deterministic: 0 when every record passes,
 1 when any fails, 2 on usage errors, among them runs that would produce
 more than ``MAX_RECORDS`` records or terms and an ``--out`` path that
-cannot be written. Big integers are serialized as
-decimal strings, never as native numbers. Given identical flags and seed,
-all output except wall-time fields is byte-identical across runs. A
+cannot be written. Big integers are serialized as decimal strings, never as
+native numbers. ``seq`` takes the first n terms of its window from
+``terms_range``'s polynomial jump and sweeps the rest in exact ``decimal``
+arithmetic (a context that raises on any rounding), whose text is linear in
+the digit count where ``str(int)`` is quadratic. Given identical flags and
+seed, all output except wall-time fields is byte-identical across runs. A
 report's ``params`` are its subcommand's flags as parsed, in the order
 ``build_parser`` declares them, without ``--format`` and ``--out``.
 
@@ -21,6 +24,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import decimal
 import io
 import sys
 import time
@@ -39,7 +43,7 @@ from .exact_linalg import (
     det_laplace,
     parse_matrix,
 )
-from .nstep_seq import CLASSIC, PAPER_POWERS, term, term_fast, terms_range
+from .nstep_seq import CLASSIC, PAPER_POWERS, sweep, term, term_fast, terms_range
 from .construction import check_prop1, check_prop1_all
 from .identities import (
     FAMILIES,
@@ -277,25 +281,39 @@ def _finish(args: argparse.Namespace, records: list[dict], timings: dict,
 # seq
 
 
+# Exact decimal arithmetic for `seq` text: an integer of any length that fits
+# in memory adds and subtracts without rounding at this precision, and any
+# rounding would raise. A sum of exactly zero is +0 under this rounding mode.
+_EXACT_DECIMAL = decimal.Context(
+    prec=decimal.MAX_PREC, rounding=decimal.ROUND_HALF_EVEN,
+    Emax=decimal.MAX_EMAX, Emin=decimal.MIN_EMIN,
+    traps=[decimal.Inexact, decimal.Rounded])
+
+
 def cmd_seq(args: argparse.Namespace) -> int:
     conv = _CONVENTIONS[args.convention]
-    _check_cap(args.hi - args.lo + 1, "terms", "--from or --to")
-    values = terms_range(args.n, conv, args.lo, args.hi)
+    count = args.hi - args.lo + 1
+    _check_cap(count, "terms", "--from or --to")
+    head = terms_range(args.n, conv, args.lo, args.lo + min(args.n, count) - 1)
+    # No list of Decimal terms stays alive while the report is written,
+    # which would raise peak memory: only their text is kept.
+    with decimal.localcontext(_EXACT_DECIMAL):
+        texts = list(map(str, sweep(map(decimal.Decimal, head), count - len(head))))
     if args.format == "json":
         payload = {
             "version": __version__,
             "command": "seq",
             "params": {"n": args.n, "convention": args.convention,
                        "from": args.lo, "to": args.hi},
-            "terms": [str(v) for v in values],
+            "terms": texts,
         }
         text = canonical_json(payload)
     elif args.format == "csv":
         lines = ["k,term"] + [
-            f"{k},{v}" for k, v in zip(range(args.lo, args.hi + 1), values)]
+            f"{k},{v}" for k, v in zip(range(args.lo, args.hi + 1), texts)]
         text = "\n".join(lines) + "\n"
     else:
-        text = " ".join(str(v) for v in values) + "\n"
+        text = " ".join(texts) + "\n"
     _write_output(text, args.out)
     return EXIT_OK
 

@@ -187,8 +187,10 @@ def sweep(window: Iterable[int], count: int) -> list[int]:
 
     The window can be any n consecutive values of the recurrence: the seeds,
     a window reached by the polynomial jump, or one row of a matrix whose
-    columns are being extended. A running total of the last n terms avoids
-    n additions per step.
+    columns are being extended. The values can be of any number type that
+    adds and subtracts exactly: ints, or ``decimal.Decimal`` integers in a
+    context that cannot round, as the CLI's ``seq`` uses. A running total
+    of the last n terms avoids n additions per step.
     """
     values = list(window)
     total = sum(values)

@@ -1,12 +1,17 @@
 import contextlib
+import decimal
 import hashlib
 import json
+import subprocess
+import sys
 import time
+from pathlib import Path
 from unittest import mock
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import HealthCheck, example, given, settings, strategies as st
 
+import nstepdet
 from nstepdet.cli import (
     EXIT_FAIL,
     EXIT_OK,
@@ -16,6 +21,7 @@ from nstepdet.cli import (
     parse_range,
     parse_sizes,
 )
+from nstepdet.nstep_seq import CLASSIC, PAPER_POWERS, term, terms_range
 
 
 def run(capsys, *argv):
@@ -117,6 +123,56 @@ class TestSeq:
         assert out == ""
         assert "terms" in err
         assert time.perf_counter() - started < 5.0
+
+    # Each ``run`` reads capsys out, so no output leaks between examples.
+    @settings(max_examples=60, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(n=st.integers(2, 8), convention=st.sampled_from(["classic", "paper"]),
+           lo=st.integers(-220, 220), count=st.integers(1, 40))
+    @example(n=2, convention="classic", lo=-200, count=401)
+    @example(n=8, convention="paper", lo=-200, count=401)
+    @example(n=5, convention="classic", lo=-6, count=3)
+    @example(n=3, convention="paper", lo=7, count=1)
+    def test_every_format_writes_the_oracle_terms(self, capsys, n, convention, lo,
+                                                  count):
+        # Windows shorter than n, single terms, the classic zeros and
+        # negative values near index 0, and terms far above 28 digits.
+        hi = lo + count - 1
+        window = ["--n", str(n), "--convention", convention,
+                  "--from", str(lo), "--to", str(hi)]
+        conv = {"classic": CLASSIC, "paper": PAPER_POWERS}[convention]
+        expected = [str(v) for v in terms_range(n, conv, lo, hi)]
+        assert expected == [str(term(n, conv, k)) for k in range(lo, hi + 1)]
+        code, payload, _ = run_json(capsys, "seq", *window, "--format", "json")
+        assert code == EXIT_OK and payload["terms"] == expected
+        code, out, _ = run(capsys, "seq", *window, "--format", "csv")
+        rows = [line.split(",") for line in out.splitlines()[1:]]
+        assert code == EXIT_OK
+        assert rows == [[str(k), v] for k, v in zip(range(lo, hi + 1), expected)]
+        code, out, _ = run(capsys, "seq", *window)
+        assert code == EXIT_OK and out == " ".join(expected) + "\n"
+
+    def test_callers_decimal_context_is_kept(self, capsys):
+        expected = [str(v) for v in terms_range(3, CLASSIC, -200, 200)]
+        with decimal.localcontext() as ctx:
+            ctx.prec = 5
+            ctx.clear_traps()
+            before = repr(ctx)
+            code, payload, _ = run_json(capsys, "seq", "--n", "3", "--from", "-200",
+                                        "--to", "200", "--format", "json")
+            assert decimal.getcontext() is ctx and repr(ctx) == before
+        assert code == EXIT_OK and payload["terms"] == expected
+
+    def test_same_json_under_python_O(self, capsys):
+        # python -O strips assert statements; the report must not change.
+        argv = ["seq", "--n", "4", "--from", "-150", "--to", "150", "--format", "json"]
+        _, _, expected = run_json(capsys, *argv)
+        src = str(Path(nstepdet.__file__).resolve().parents[1])
+        proc = subprocess.run([sys.executable, "-O", "-m", "nstepdet.cli", *argv],
+                              env={"PYTHONPATH": src}, capture_output=True,
+                              text=True, timeout=60)
+        assert proc.returncode == EXIT_OK, proc.stderr
+        assert proc.stdout == expected
 
 
 class TestVerify:

@@ -26,6 +26,13 @@ def test_minor_walk_mutants_are_catalogued():
     assert {"minor-walk-swap-sign-kept", "minor-walk-divisor-one"} <= names
 
 
+def test_seq_decimal_mutants_are_catalogued():
+    # `seq` text comes from exact decimal arithmetic: a precision that
+    # rounds (the default 28 digits) and a sweep one term short must fail.
+    names = {m[0] for m in mutants.MUTANTS}
+    assert {"seq-decimal-default-precision", "seq-decimal-sweep-one-short"} <= names
+
+
 @pytest.mark.parametrize("name, path, old, new", mutants.MUTANTS,
                          ids=[m[0] for m in mutants.MUTANTS])
 def test_old_text_occurs_once_in_src(name, path, old, new):

@@ -82,6 +82,12 @@ MUTANTS = (
     ("minor-walk-zero-subtree-one", "src/nstepdet/construction.py",
      "dets[prefix + rest] = 0",
      "dets[prefix + rest] = 1"),
+    ("seq-decimal-default-precision", "src/nstepdet/cli.py",
+     "prec=decimal.MAX_PREC,",
+     "prec=28,"),
+    ("seq-decimal-sweep-one-short", "src/nstepdet/cli.py",
+     "count - len(head))",
+     "count - len(head) - 1)"),
 )
 
 _SKIP = shutil.ignore_patterns(
