@@ -29,7 +29,7 @@ import io
 import sys
 import time
 from json.encoder import encode_basestring_ascii
-from math import comb, prod
+from math import prod
 from random import Random
 from typing import Callable
 
@@ -105,6 +105,20 @@ def _check_cap(due: int, unit: str, flags: str) -> None:
     if due > MAX_RECORDS:
         raise UsageError(
             f"this run asks for more than {MAX_RECORDS} {unit}; narrow {flags}")
+
+
+def _comb_past(m: int, k: int, limit: int) -> int:
+    """C(m, k) if it is at most ``limit``, else some value above ``limit``.
+
+    C(m, i) grows with i up to m/2, so the multiplicative count can stop at
+    the first C(m, i) past ``limit``, after about log2(limit) factors at
+    most, instead of computing a huge C(m, k) exactly."""
+    count = 1
+    for i in range(1, min(k, m - k) + 1):
+        count = count * (m - i + 1) // i
+        if count > limit:
+            break
+    return count
 
 
 def random_matrix(rng: Random, order: int, bound: int) -> IntMatrix:
@@ -398,7 +412,7 @@ def cmd_prop1(args: argparse.Namespace) -> int:
     due = 0
     for n in n_values:
         for r in r_values:
-            due += trials * comb(n + r - 1, r)
+            due += trials * _comb_past(n + r - 1, r, MAX_RECORDS)
             _check_cap(due, "records", "--n, --r or --trials")
     rng = Random(args.seed)
     records: list[dict] = []

@@ -25,6 +25,9 @@ Three builders and two checkers make up the machinery:
                            minors that share their first kept columns share
                            those elimination steps, and each value is still
                            the last pivot of its own minor's elimination.
+                           The same walk over P's columns, bordered so
+                           that each band submatrix is such a minor, gives
+                           every band determinant of the batch.
                            The per-deletion ``check_prop1`` stays the
                            reference it is tested against, and the CLI
                            rechecks one deletion per matrix through it.
@@ -40,7 +43,7 @@ determinants are exactly the n-step Fibonacci numbers with power seeding.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import chain, combinations
+from itertools import combinations
 from typing import Iterable, Sequence
 
 from .exact_linalg import (
@@ -228,24 +231,29 @@ def check_prop1_all(mats: Iterable[IntMatrix], r: int) -> list[list[Prop1Record]
     combinations(range(1, n + r), r)]``. Work that does not depend on the
     deletion is done once: each matrix is extended and its determinant
     taken once, and P, the signs and every det Q once for the whole batch
-    (det Q does not depend on the matrix). Every minor of one extension is
-    evaluated by fraction-free elimination of its own columns, shared
-    between minors only where their kept columns agree
-    (``_kept_minor_dets``), never derived from the rule it checks.
+    (det Q does not depend on the matrix). Every minor of one extension,
+    and every det Q, is evaluated by fraction-free elimination of its own
+    columns, shared between minors only where their kept columns agree
+    (``_kept_minor_dets``: one walk per extension, and one per batch over
+    P's transpose bordered by a zero column and a last row e_(n+r)), never
+    derived from the rule it checks. ``det_bareiss`` takes only det(a).
     """
     mats = list(mats)
     if not mats:
         return []
     n = check_square("check_prop1_all", *mats)
-    p_rows = build_P(n, r).to_rows()
+    # The walk's rows are P's columns, each followed by a 0, then e_(n+r).
+    # Its minor that keeps columns d and the last is [[Q^T, 0], [0, 1]] for
+    # Q = P's rows d, so its determinant is det Q.
+    p = build_P(n, r)
+    det_qs = _kept_minor_dets([[*p.column(j), 0] for j in range(1, r + 1)]
+                              + [[0] * (n + r - 1) + [1]])
     # (deleted, kept columns but the last, sign, det Q) per deletion.
     cell = []
     for deleted in combinations(range(1, n + r), r):
         sel = minor_selection(n, r, deleted)
-        q = IntMatrix(
-            r, r, tuple(chain.from_iterable(p_rows[i - 1] for i in sel.deleted)))
         cell.append((sel.deleted, sel.kept[:-1],
-                     _checked_sign(sel), det_bareiss(q)))
+                     _checked_sign(sel), det_qs[sel.deleted]))
     batch = []
     for a in mats:
         dets = _kept_minor_dets(extend_columns(a, r).to_rows())
@@ -256,8 +264,11 @@ def check_prop1_all(mats: Iterable[IntMatrix], r: int) -> list[list[Prop1Record]
 
 
 def _kept_minor_dets(ext_rows: list[list[int]]) -> dict[tuple[int, ...], int]:
-    """The determinant of every n x n minor of an n x (n+r) extension that
-    keeps its last column, keyed by its other n-1 kept columns (1-based).
+    """The determinant of every n x n minor of an n x m matrix that keeps
+    its last column, keyed by its other n-1 kept columns (1-based).
+    ``check_prop1_all`` passes it each n x (n+r) extension, and for det Q
+    the (r+1) x (n+r) transpose of P bordered by a zero column and a last
+    row e_(n+r).
 
     A minor's transpose has the kept columns as its rows, in order, and
     fraction-free (Bareiss) elimination of it uses only the first t of them

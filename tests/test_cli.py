@@ -2,6 +2,7 @@ import contextlib
 import decimal
 import hashlib
 import json
+import math
 import subprocess
 import sys
 import time
@@ -16,6 +17,7 @@ from nstepdet.cli import (
     EXIT_FAIL,
     EXIT_OK,
     EXIT_USAGE,
+    _comb_past,
     canonical_json,
     main,
     parse_range,
@@ -378,14 +380,24 @@ class TestProp1:
 
         monkeypatch.setattr("nstepdet.cli.random_matrix", no_work)
         monkeypatch.setattr("nstepdet.cli.check_prop1_all", no_work)
-        # A billion-value --r must be rejected without listing its values.
-        for n, r in (("5..10", "1..40"), ("3", "1..1000000000")):
+        # A billion-value --r must be rejected without listing its values,
+        # and a huge single cell without counting its records exactly.
+        for n, r in (("5..10", "1..40"), ("3", "1..1000000000"),
+                     ("3000000", "2000000")):
             started = time.perf_counter()
             code, out, err = run(capsys, "prop1", "--n", n, "--r", r)
             assert code == EXIT_USAGE
             assert out == ""
             assert "records" in err
             assert time.perf_counter() - started < 5.0
+
+    def test_record_count_stops_past_the_cap(self):
+        # Exact at or below the limit, above it otherwise, for every k.
+        for m in range(40):
+            for k in range(m + 1):
+                count = _comb_past(m, k, 1000)
+                exact = math.comb(m, k)
+                assert count == exact if exact <= 1000 else count > 1000, (m, k)
 
     def test_bad_order_or_length_is_usage_error(self, capsys):
         # A value starting with "-" is written --r=..., or argparse takes it

@@ -366,18 +366,36 @@ class TestCheckProp1All:
         proc = run_child(code, "-O")
         assert proc.returncode == 0, proc.stderr
 
+    @pytest.mark.parametrize("n", range(2, 8))
+    def test_det_q_against_build_q(self, n):
+        # det Q comes from the shared-prefix walk over P's bordered
+        # transpose; build_Q plus det_bareiss (and Laplace at small r) is
+        # its per-deletion oracle, and rows n..n+r-1 give q_fib_det.
+        for r in range(1, 9):
+            [records] = check_prop1_all([IntMatrix.identity(n)], r)
+            for rec in records:
+                q = build_Q(n, r, rec.deleted)
+                assert rec.det_q == det_bareiss(q), (r, rec.deleted)
+                if r <= 5:
+                    assert rec.det_q == det_laplace(q), (r, rec.deleted)
+            by_rows = {rec.deleted: rec.det_q for rec in records}
+            assert by_rows[tuple(range(n, n + r))] == q_fib_det(n, r)
+
     def test_minor_not_derived_from_the_rule(self, monkeypatch):
         # With a doubled band matrix every right side doubles; the minors,
         # evaluated on their own, must not follow and the records must fail.
+        # det Q scales by 2^r = 4, so it is computed from build_P's entries.
         a = M([[1, 2], [0, 1]])
         ext = extend_columns(a, 2)
         true_p = build_P(2, 2)
+        true_det_q = {d: det_bareiss(build_Q(2, 2, d)) for d in combinations(range(1, 4), 2)}
         monkeypatch.setattr(
             "nstepdet.construction.build_P",
             lambda n, r: M([[2 * e for e in row] for row in true_p.to_rows()]))
         [records] = check_prop1_all([a], 2)
         for rec in records:
             assert rec.minor_value == det_laplace(minor_by_deletion(ext, rec.deleted))
+            assert rec.det_q == 2**2 * true_det_q[rec.deleted]
             assert not rec.passed
 
     def test_empty_batch(self):

@@ -26,6 +26,14 @@ def test_minor_walk_mutants_are_catalogued():
     assert {"minor-walk-swap-sign-kept", "minor-walk-divisor-one"} <= names
 
 
+def test_prop1_batch_mutants_are_catalogued():
+    # The batch's signs are cross-checked, and every det Q comes from the
+    # shared-prefix walk over P's bordered transpose: a negated border
+    # flips every det Q and must fail.
+    names = {m[0] for m in mutants.MUTANTS}
+    assert {"batch-sign-check-removed", "prop1-detq-border-negated"} <= names
+
+
 def test_seq_decimal_mutants_are_catalogued():
     # `seq` text comes from exact decimal arithmetic: a precision that
     # rounds (the default 28 digits) and a sweep one term short must fail.

@@ -44,8 +44,11 @@ MUTANTS = (
      "[1] * n + [-1] + [0] * r",
      "[1] * n + [0] + [0] * r"),
     ("batch-sign-check-removed", "src/nstepdet/construction.py",
-     "_checked_sign(sel), det_bareiss(q)))",
-     "_deleted_sign(sel), det_bareiss(q)))"),
+     "_checked_sign(sel), det_qs[sel.deleted]))",
+     "_deleted_sign(sel), det_qs[sel.deleted]))"),
+    ("prop1-detq-border-negated", "src/nstepdet/construction.py",
+     "[0] * (n + r - 1) + [1]]",
+     "[0] * (n + r - 1) + [-1]]"),
     ("prop1-grid-cap-removed", "src/nstepdet/cli.py",
      '_check_cap(due, "records", "--n, --r or --trials")',
      "pass"),
