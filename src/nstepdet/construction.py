@@ -10,15 +10,18 @@ Three builders and two checkers make up the machinery:
                            row, swept by the same running total
                            (``nstep_seq.sweep``) as ``terms_range``.
 * ``minor_by_deletion`` -- the square matrix left after deleting r of the
-                           extension's columns (never the last one).
+                           extension's columns (never the last one), a
+                           deletion ``minor_selection`` validates.
 * ``check_prop1``       -- the signed-minor product rule: every such minor's
                            determinant equals a sign, times the determinant
                            of the band submatrix in the deleted rows, times
                            the determinant of the original matrix.
 * ``check_prop1_all``   -- the same rule for every deletion and a batch of
-                           matrices of one order. Per-matrix work (the
-                           extension, det of the matrix) is done once per
-                           matrix, and P, the signs and each band
+                           matrices of one order, validated once at entry:
+                           its deletions come from ``combinations``. Per-
+                           matrix work (the extension, det of the matrix)
+                           is done once per matrix, and P and each
+                           deletion's kept columns, sign and band
                            determinant once per batch. All minors of one
                            extension come from one fraction-free walk over
                            kept-column prefixes (``_kept_minor_dets``):
@@ -58,7 +61,6 @@ from .exact_linalg import (
 from .nstep_seq import sweep
 
 __all__ = [
-    "MinorSelection",
     "Prop1Record",
     "minor_selection",
     "build_P",
@@ -71,20 +73,6 @@ __all__ = [
     "check_prop1_all",
     "q_fib_det",
 ]
-
-
-@dataclass(frozen=True)
-class MinorSelection:
-    """A choice of r deleted columns out of n+r, plus the kept complement.
-
-    ``kept`` has length n and always ends with column n+r; deleting the
-    last column is never allowed.
-    """
-
-    n: int
-    r: int
-    deleted: tuple[int, ...]
-    kept: tuple[int, ...]
 
 
 @dataclass(frozen=True)
@@ -109,19 +97,24 @@ class Prop1Record:
         return self.minor_value == self.rhs
 
 
-def minor_selection(n: int, r: int, deleted: Iterable[int]) -> MinorSelection:
-    """Validate a deletion list and compute its kept complement.
+def minor_selection(n: int, r: int,
+                    deleted: Iterable[int]) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """Validate a deletion list; return it and its kept complement.
 
     The deleted indices must be strictly ascending, lie in 1..n+r-1 (the
-    last column is never deleted) and number exactly r.
+    last column is never deleted) and number exactly r. The kept tuple
+    holds the other n-1 columns of 1..n+r-1; column n+r is kept too.
     """
     check_at_least(2, n=n)
     check_at_least(1, r=r)
-    last = n + r
-    deleted = check_indices("deleted column", deleted, 1, last - 1, count=r)
+    deleted = check_indices("deleted column", deleted, 1, n + r - 1, count=r)
+    return deleted, _kept(n, r, deleted)
+
+
+def _kept(n: int, r: int, deleted: tuple[int, ...]) -> tuple[int, ...]:
+    """The columns of 1..n+r-1 not in ``deleted``, a valid deletion."""
     gone = set(deleted)
-    kept = tuple(k for k in range(1, last) if k not in gone) + (last,)
-    return MinorSelection(n, r, deleted, kept)
+    return tuple(k for k in range(1, n + r) if k not in gone)
 
 
 def build_P(n: int, r: int) -> IntMatrix:
@@ -169,17 +162,18 @@ def minor_by_deletion(aext: IntMatrix, deleted: Iterable[int]) -> IntMatrix:
     if r < 1:
         raise DimensionError(
             f"expected an n x (n+r) extension with r >= 1, got {aext.rows}x{aext.cols}")
-    sel = minor_selection(n, r, deleted)
-    return select_columns(aext, sel.kept)
+    _, kept = minor_selection(n, r, deleted)
+    return select_columns(aext, kept + (n + r,))
 
 
 def sign_from_deleted(n: int, r: int, deleted: Iterable[int]) -> int:
     """Minor sign from the deleted indices: parity of nr + sum(j) + r(r-1)/2."""
-    return _deleted_sign(minor_selection(n, r, deleted))
+    deleted, _ = minor_selection(n, r, deleted)
+    return _deleted_sign(n, r, deleted)
 
 
-def _deleted_sign(sel: MinorSelection) -> int:
-    return -1 if (sel.n * sel.r + sum(sel.deleted) + sel.r * (sel.r - 1) // 2) % 2 else 1
+def _deleted_sign(n: int, r: int, deleted: tuple[int, ...]) -> int:
+    return -1 if (n * r + sum(deleted) + r * (r - 1) // 2) % 2 else 1
 
 
 def sign_from_kept(n: int, kept: Iterable[int]) -> int:
@@ -192,16 +186,16 @@ def _kept_sign(n: int, kept: tuple[int, ...]) -> int:
     return -1 if (n * (n - 1) // 2 + sum(kept)) % 2 else 1
 
 
-def _checked_sign(sel: MinorSelection) -> int:
-    """The minor's sign from the deleted indices of a validated selection,
-    cross-checked against the kept ones. The two formulas are equivalent;
-    disagreement means a bug here, so it raises (explicitly, so the check
-    survives ``python -O``)."""
-    sign = _deleted_sign(sel)
-    if sign != _kept_sign(sel.n, sel.kept[:-1]):
+def _checked_sign(n: int, r: int, deleted: tuple[int, ...],
+                  kept: tuple[int, ...]) -> int:
+    """The minor's sign from a valid deletion, cross-checked against its
+    kept complement (the last column excluded). The two formulas are
+    equivalent; disagreement means a bug here, so it raises (explicitly, so
+    the check survives ``python -O``)."""
+    sign = _deleted_sign(n, r, deleted)
+    if sign != _kept_sign(n, kept):
         raise ArithmeticError(
-            f"sign formulas disagree for n={sel.n}, r={sel.r},"
-            f" deleted={list(sel.deleted)}")
+            f"sign formulas disagree for n={n}, r={r}, deleted={list(deleted)}")
     return sign
 
 
@@ -214,13 +208,13 @@ def check_prop1(a: IntMatrix, r: int, deleted: Iterable[int]) -> Prop1Record:
     ``a`` too, where both sides must be zero.
     """
     n = check_square("check_prop1", a)
-    sel = minor_selection(n, r, deleted)
-    minor = minor_by_deletion(extend_columns(a, r), sel.deleted)
+    deleted, kept = minor_selection(n, r, deleted)
+    minor = minor_by_deletion(extend_columns(a, r), deleted)
     minor_value = det_bareiss(minor)
-    sign = _checked_sign(sel)
-    det_q = det_bareiss(build_Q(n, r, sel.deleted))
+    sign = _checked_sign(n, r, deleted, kept)
+    det_q = det_bareiss(build_Q(n, r, deleted))
     det_a = det_bareiss(a)
-    return Prop1Record(n, r, sel.deleted, minor_value, sign, det_q, det_a)
+    return Prop1Record(n, r, deleted, minor_value, sign, det_q, det_a)
 
 
 def check_prop1_all(mats: Iterable[IntMatrix], r: int) -> list[list[Prop1Record]]:
@@ -228,10 +222,12 @@ def check_prop1_all(mats: Iterable[IntMatrix], r: int) -> list[list[Prop1Record]
 
     The matrices must be square and share one order n. Entry i of the
     result equals ``[check_prop1(mats[i], r, d) for d in
-    combinations(range(1, n + r), r)]``. Work that does not depend on the
-    deletion is done once: each matrix is extended and its determinant
-    taken once, and P, the signs and every det Q once for the whole batch
-    (det Q does not depend on the matrix). Every minor of one extension,
+    combinations(range(1, n + r), r)]``. Only the matrices and r are
+    validated, once at entry: the deletions come from ``combinations``.
+    Work that does not depend on the deletion is done once: each matrix is
+    extended and its determinant taken once, and P, the kept columns, the
+    signs and every det Q once for the whole batch (det Q does not depend
+    on the matrix). Every minor of one extension,
     and every det Q, is evaluated by fraction-free elimination of its own
     columns, shared between minors only where their kept columns agree
     (``_kept_minor_dets``: one walk per extension, and one per batch over
@@ -251,9 +247,8 @@ def check_prop1_all(mats: Iterable[IntMatrix], r: int) -> list[list[Prop1Record]
     # (deleted, kept columns but the last, sign, det Q) per deletion.
     cell = []
     for deleted in combinations(range(1, n + r), r):
-        sel = minor_selection(n, r, deleted)
-        cell.append((sel.deleted, sel.kept[:-1],
-                     _checked_sign(sel), det_qs[sel.deleted]))
+        kept = _kept(n, r, deleted)
+        cell.append((deleted, kept, _checked_sign(n, r, deleted, kept), det_qs[deleted]))
     batch = []
     for a in mats:
         dets = _kept_minor_dets(extend_columns(a, r).to_rows())

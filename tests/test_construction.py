@@ -10,6 +10,7 @@ from hypothesis import given, settings, strategies as st
 
 import nstepdet
 
+from nstepdet import construction
 from nstepdet.cli import random_matrix
 from nstepdet.exact_linalg import (
     DimensionError,
@@ -162,9 +163,19 @@ class TestMinorByDeletion:
         assert minor_by_deletion(ext, [1]) == M([[2, 3], [1, 1]])
 
     def test_kept_complement(self):
-        sel = minor_selection(3, 2, [2, 4])
-        assert sel.kept == (1, 3, 5)
-        assert set(sel.deleted) | set(sel.kept) == set(range(1, 6))
+        # minor_selection returns the deletion and its ascending complement
+        # in 1..n+r-1; minor_by_deletion keeps exactly those columns and n+r.
+        for n in range(2, 6):
+            for r in range(1, 6):
+                # entry (i, j) is 100 i + j, so a minor's entries name its columns
+                ext = M([[100 * i + j for j in range(1, n + r + 1)] for i in range(n)])
+                for deleted in combinations(range(1, n + r), r):
+                    got, kept = minor_selection(n, r, iter(deleted))
+                    assert got == deleted
+                    assert len(kept) == n - 1 and list(kept) == sorted(kept)
+                    assert sorted(deleted + kept) == list(range(1, n + r))
+                    assert minor_by_deletion(ext, deleted) == M(
+                        [[100 * i + j for j in kept + (n + r,)] for i in range(n)])
 
     def test_last_column_protected(self):
         ext = extend_columns(M([[1, 2], [0, 1]]), 2)
@@ -350,6 +361,25 @@ class TestCheckProp1All:
         # reduce a pivot vector to all zeros below a shared prefix.
         for r in (1, 2, 3, 4):
             assert_minors_match_laplace(M(rows), r)
+
+    def test_deletions_are_not_validated_again(self, monkeypatch):
+        # The batch validates its inputs once, at entry; its deletions come
+        # from combinations, so no per-deletion validator may run.
+        rng = random.Random(17)
+        cells = {(n, r): [random_matrix(rng, n, 9) for _ in range(2)]
+                 for n in range(2, 6) for r in range(1, 6)}
+        expected = {(n, r): [[check_prop1(a, r, d)
+                              for d in combinations(range(1, n + r), r)]
+                             for a in mats]
+                    for (n, r), mats in cells.items()}
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("a deletion was validated again")
+
+        monkeypatch.setattr(construction, "minor_selection", refuse)
+        monkeypatch.setattr(construction, "check_indices", refuse)
+        for (n, r), mats in cells.items():
+            assert check_prop1_all(mats, r) == expected[n, r], (n, r)
 
     def test_walk_division_check_survives_optimize_flag(self):
         code = textwrap.dedent("""

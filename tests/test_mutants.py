@@ -29,9 +29,12 @@ def test_minor_walk_mutants_are_catalogued():
 def test_prop1_batch_mutants_are_catalogued():
     # The batch's signs are cross-checked, and every det Q comes from the
     # shared-prefix walk over P's bordered transpose: a negated border
-    # flips every det Q and must fail.
+    # flips every det Q and must fail. The one kept-complement helper
+    # serves the batch and minor_selection: a deleted column left in the
+    # kept tuple must fail.
     names = {m[0] for m in mutants.MUTANTS}
-    assert {"batch-sign-check-removed", "prop1-detq-border-negated"} <= names
+    assert {"batch-sign-check-removed", "prop1-detq-border-negated",
+            "kept-complement-keeps-a-deleted-column"} <= names
 
 
 def test_seq_decimal_mutants_are_catalogued():

@@ -44,8 +44,11 @@ MUTANTS = (
      "[1] * n + [-1] + [0] * r",
      "[1] * n + [0] + [0] * r"),
     ("batch-sign-check-removed", "src/nstepdet/construction.py",
-     "_checked_sign(sel), det_qs[sel.deleted]))",
-     "_deleted_sign(sel), det_qs[sel.deleted]))"),
+     "_checked_sign(n, r, deleted, kept), det_qs[deleted]))",
+     "_deleted_sign(n, r, deleted), det_qs[deleted]))"),
+    ("kept-complement-keeps-a-deleted-column", "src/nstepdet/construction.py",
+     "gone = set(deleted)",
+     "gone = set(deleted[1:])"),
     ("prop1-detq-border-negated", "src/nstepdet/construction.py",
      "[0] * (n + r - 1) + [1]]",
      "[0] * (n + r - 1) + [-1]]"),
