@@ -272,19 +272,24 @@ def _record_dict(case: dict, lhs: int, rhs: int) -> dict:
     return {"case": case, "lhs": str(lhs), "rhs": str(rhs), "pass": lhs == rhs}
 
 
+def _report_head(args: argparse.Namespace) -> dict:
+    """A report's version, command and params: the subcommand's flags as
+    parsed, in the order ``build_parser`` declares them."""
+    return {"version": __version__, "command": args.command,
+            "params": {key: value for key, value in vars(args).items()
+                       if key not in ("command", "func", "format", "out")}}
+
+
 def _finish(args: argparse.Namespace, records: list[dict], timings: dict,
             started: float) -> int:
-    """Emit the report of ``records``, its params in the order
-    ``build_parser`` declares them, and return the exit code."""
+    """Emit the report of ``records`` and return the exit code."""
     if not records:
         raise UsageError("the sweep produced no records, so nothing was checked")
     timings["total"] = (time.perf_counter() - started) * 1000.0
     passed = sum(1 for rec in records if rec["pass"])
     summary = {"total": len(records), "passed": passed, "failed": len(records) - passed}
-    report = {"version": __version__, "command": args.command,
-              "params": {key: value for key, value in vars(args).items()
-                         if key not in ("command", "func", "format", "out")},
-              "records": records, "summary": summary, "timings_ms": timings}
+    report = {**_report_head(args), "records": records, "summary": summary,
+              "timings_ms": timings}
     write = {"json": canonical_json, "csv": report_to_csv}.get(args.format, report_to_table)
     _write_output(write(report), args.out,
                   " ".join(f"{key}={value}" for key, value in summary.items()))
@@ -306,25 +311,18 @@ _EXACT_DECIMAL = decimal.Context(
 
 def cmd_seq(args: argparse.Namespace) -> int:
     conv = _CONVENTIONS[args.convention]
-    count = args.hi - args.lo + 1
+    lo, hi = getattr(args, "from"), args.to
+    count = hi - lo + 1
     _check_cap(count, "terms", "--from or --to")
-    head = terms_range(args.n, conv, args.lo, args.lo + min(args.n, count) - 1)
+    head = terms_range(args.n, conv, lo, lo + min(args.n, count) - 1)
     # No list of Decimal terms stays alive while the report is written,
     # which would raise peak memory: only their text is kept.
     with decimal.localcontext(_EXACT_DECIMAL):
         texts = list(map(str, sweep(map(decimal.Decimal, head), count - len(head))))
     if args.format == "json":
-        payload = {
-            "version": __version__,
-            "command": "seq",
-            "params": {"n": args.n, "convention": args.convention,
-                       "from": args.lo, "to": args.hi},
-            "terms": texts,
-        }
-        text = canonical_json(payload)
+        text = canonical_json({**_report_head(args), "terms": texts})
     elif args.format == "csv":
-        lines = ["k,term"] + [
-            f"{k},{v}" for k, v in zip(range(args.lo, args.hi + 1), texts)]
+        lines = ["k,term"] + [f"{k},{v}" for k, v in zip(range(lo, hi + 1), texts)]
         text = "\n".join(lines) + "\n"
     else:
         text = " ".join(texts) + "\n"
@@ -440,10 +438,13 @@ def cmd_prop1(args: argparse.Namespace) -> int:
 # bench
 
 
-def _add_ms(timings: dict, key: str, seconds: float) -> None:
-    """Add ``seconds`` to the milliseconds under ``key``, so a size listed
-    twice sums its runs instead of keeping the last."""
-    timings[key] = timings.get(key, 0.0) + seconds * 1000.0
+def _timed(timings: dict, key: str, call: Callable[[], int]) -> int:
+    """``call()``, its milliseconds added to those under ``key``, so a size
+    listed twice sums its runs instead of keeping the last."""
+    started = time.perf_counter()
+    value = call()
+    timings[key] = timings.get(key, 0.0) + (time.perf_counter() - started) * 1000.0
+    return value
 
 
 def cmd_bench(args: argparse.Namespace) -> int:
@@ -455,13 +456,8 @@ def cmd_bench(args: argparse.Namespace) -> int:
         ks = parse_sizes(args.k)
         _check_cap(_size(ks), "records", "--k")
         for k in ks:
-            t0 = time.perf_counter()
-            slow = term(args.n, conv, k)
-            t1 = time.perf_counter()
-            fast = term_fast(args.n, conv, k)
-            t2 = time.perf_counter()
-            _add_ms(timings, f"iter[k={k}]", t1 - t0)
-            _add_ms(timings, f"fast[k={k}]", t2 - t1)
+            slow = _timed(timings, f"iter[k={k}]", lambda: term(args.n, conv, k))
+            fast = _timed(timings, f"fast[k={k}]", lambda: term_fast(args.n, conv, k))
             case = {"kind": "bench", "task": args.task, "n": args.n, "k": k,
                     "convention": args.convention}
             records.append(_record_dict(case, fast, slow))
@@ -478,13 +474,8 @@ def cmd_bench(args: argparse.Namespace) -> int:
         for order in orders:
             for trial in range(1, args.trials + 1):
                 a = random_matrix(rng, order, args.bound)
-                t0 = time.perf_counter()
-                db = det_bareiss(a)
-                t1 = time.perf_counter()
-                dl = det_laplace(a)
-                t2 = time.perf_counter()
-                _add_ms(timings, f"bareiss[order={order}]", t1 - t0)
-                _add_ms(timings, f"laplace[order={order}]", t2 - t1)
+                db = _timed(timings, f"bareiss[order={order}]", lambda: det_bareiss(a))
+                dl = _timed(timings, f"laplace[order={order}]", lambda: det_laplace(a))
                 case = {"kind": "bench", "task": args.task, "order": order,
                         "trial": trial}
                 records.append(_record_dict(case, db, dl))
@@ -512,10 +503,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("seq", help="print sequence terms")
     p.add_argument("--n", type=int, required=True, help="step count (>= 2)")
     p.add_argument("--convention", choices=tuple(_CONVENTIONS), default="classic")
-    p.add_argument("--from", dest="lo", type=int, required=True,
+    p.add_argument("--from", type=int, required=True,
                    help="first index (may be negative)")
-    p.add_argument("--to", dest="hi", type=int, required=True,
-                   help="last index, inclusive")
+    p.add_argument("--to", type=int, required=True, help="last index, inclusive")
     _add_common(p)
     p.set_defaults(func=cmd_seq)
 

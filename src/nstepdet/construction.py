@@ -24,10 +24,13 @@ Three builders and two checkers make up the machinery:
                            deletion's kept columns, sign and band
                            determinant once per batch. All minors of one
                            extension come from one fraction-free walk over
-                           kept-column prefixes (``_kept_minor_dets``):
-                           minors that share their first kept columns share
-                           those elimination steps, and each value is still
-                           the last pivot of its own minor's elimination.
+                           kept-column prefixes (``_kept_minor_dets``). Each
+                           minor's elimination takes the last column, which
+                           every minor keeps, as its first pivot, so that
+                           step is done once per extension; minors that
+                           share their next kept columns share those steps
+                           too, and each value is still the last pivot of
+                           its own minor's elimination.
                            The same walk over P's columns, bordered so
                            that each band submatrix is such a minor, gives
                            every band determinant of the batch.
@@ -234,6 +237,7 @@ def check_prop1_all(mats: Iterable[IntMatrix], r: int) -> list[list[Prop1Record]
     P's transpose bordered by a zero column and a last row e_(n+r)), never
     derived from the rule it checks. ``det_bareiss`` takes only det(a).
     """
+    check_at_least(1, r=r)
     mats = list(mats)
     if not mats:
         return []
@@ -265,46 +269,48 @@ def _kept_minor_dets(ext_rows: list[list[int]]) -> dict[tuple[int, ...], int]:
     the (r+1) x (n+r) transpose of P bordered by a zero column and a last
     row e_(n+r).
 
-    A minor's transpose has the kept columns as its rows, in order, and
-    fraction-free (Bareiss) elimination of it uses only the first t of them
-    in its first t steps. So one depth-first walk over kept-column prefixes
-    does every minor's elimination: each node takes its newest column as
-    the pivot row and reduces every later candidate column and the last
-    column once against it. At depth n-1 the last column's one remaining
-    entry, times the sign, is the minor's determinant, the last pivot of
-    its own elimination. A zero pivot swaps the same two coordinates in
-    every vector of the subtree, which is one row interchange of each of
-    its minors, and flips their sign; a reduced pivot vector that is all
-    zero makes every minor below it 0. The walk keeps an explicit stack,
-    so its depth is not bounded by the recursion limit.
+    A minor's transpose has the kept columns as its rows. Moving the last
+    column's row to the top takes n-1 row interchanges, so the minor is
+    (-1)^(n-1) times the determinant of the rows: last column, then the
+    other kept columns in order. Fraction-free (Bareiss) elimination of that
+    matrix uses only its first t rows in its first t steps, and the first is
+    the same for every minor. So one depth-first walk over kept-column
+    prefixes does every minor's elimination: the root reduces every other
+    column against the last one, and each node takes its newest kept column
+    as the pivot and reduces the later candidate columns once against it.
+    At a node that has one column left to keep, each candidate's one
+    remaining entry, times the sign, is that minor's determinant, the last
+    pivot of its own elimination. A zero pivot swaps the same two
+    coordinates in every vector of the subtree, which is one row interchange
+    of each of its minors, and flips their sign; a reduced pivot vector that
+    is all zero makes every minor below it 0. The walk keeps an explicit
+    stack, so its depth is not bounded by the recursion limit.
     """
     n = len(ext_rows)
     *columns, last = zip(*ext_rows)
     dets = {}
-    # (kept prefix, later candidate columns, their reduced vectors, reduced
-    #  last column, previous pivot, sign); a vector at depth t has n-t entries.
-    stack = [((), tuple(range(1, len(columns) + 1)), columns, last, 1, 1)]
+    # (kept prefix, later candidate columns, their vectors, the pivot vector
+    #  they are reduced against next, previous pivot, sign); the vectors of
+    #  an entry with t kept columns have n-t entries.
+    stack = [((), tuple(range(1, len(columns) + 1)), columns, last, 1, (-1) ** (n - 1))]
     while stack:
-        kept, cols, vecs, last, prev, sign = stack.pop()
+        kept, cols, vecs, pivot, prev, sign = stack.pop()
         more = n - 2 - len(kept)  # columns still to keep after the next one
+        if not pivot[0]:
+            i = next((i for i, x in enumerate(pivot) if x), 0)
+            if not i:
+                for rest in combinations(cols, more + 1):
+                    dets[kept + rest] = 0
+                continue
+            pivot, vecs, sign = _swap(pivot, i), [_swap(u, i) for u in vecs], -sign
+        vecs = _eliminate(vecs, pivot, prev)
+        if not more:
+            for col, u in zip(cols, vecs):
+                dets[kept + (col,)] = sign * u[0]
+            continue
         for pos in range(len(cols) - more):
-            prefix, pivot = kept + (cols[pos],), vecs[pos]
-            later = vecs[pos + 1:] if more else []
-            tail, child_sign = last, sign
-            if not pivot[0]:
-                i = next((i for i, x in enumerate(pivot) if x), 0)
-                if not i:
-                    for rest in combinations(cols[pos + 1:], more):
-                        dets[prefix + rest] = 0
-                    continue
-                pivot, tail = _swap(pivot, i), _swap(tail, i)
-                later = [_swap(u, i) for u in later]
-                child_sign = -sign
-            tail, *later = _eliminate([tail, *later], pivot, prev)
-            if more:
-                stack.append((prefix, cols[pos + 1:], later, tail, pivot[0], child_sign))
-            else:
-                dets[prefix] = child_sign * tail[0]
+            stack.append((kept + (cols[pos],), cols[pos + 1:], vecs[pos + 1:],
+                          vecs[pos], pivot[0], sign))
     return dets
 
 

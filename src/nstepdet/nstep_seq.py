@@ -218,7 +218,8 @@ def terms_range(n: int, conv: Convention, lo: int, hi: int) -> list[int]:
     _check_term_indices(lo, hi)
     if lo > hi:
         raise RangeError(f"empty index range {lo}..{hi}")
-    window = _window_at(_x_pow(n, lo - 1), seed_block(n, conv))
+    seeds = seed_block(n, conv)  # validates n before the jump uses it
+    window = _window_at(_x_pow(n, lo - 1), seeds)
     return sweep(window, hi - lo + 1 - n)[:hi - lo + 1]
 
 

@@ -18,6 +18,7 @@ from nstepdet.exact_linalg import (
     SelectionError,
     det_bareiss,
     det_laplace,
+    select_columns,
 )
 from nstepdet.nstep_seq import PAPER_POWERS, term
 from nstepdet.construction import (
@@ -395,6 +396,43 @@ class TestCheckProp1All:
         """)
         proc = run_child(code, "-O")
         assert proc.returncode == 0, proc.stderr
+
+    def test_one_elimination_per_kept_prefix(self, monkeypatch):
+        # Every minor keeps the last column, so the walk reduces the other
+        # columns against it once, at the root, and each kept-column prefix
+        # of length 1..n-2 reduces its later candidates once: no call per
+        # minor. Large random entries give no zero pivot, so each prefix that
+        # leaves room for the rest of a minor makes exactly one call. In an
+        # extension the recurrence can make a prefix dependent (at n = 5,
+        # r = 3, column 8 is 2 * column 7 - column 2), which ends its
+        # subtree early.
+        calls = []
+        eliminate = construction._eliminate
+
+        def counted(*args):
+            calls.append(args)
+            return eliminate(*args)
+
+        monkeypatch.setattr(construction, "_eliminate", counted)
+        rng = random.Random(29)
+        for n in range(2, 7):
+            for r in range(1, 6):
+                m = n + r
+                prefixes = sum(1 for t in range(n - 1)
+                               for p in combinations(range(1, m), t)
+                               if m - 1 - (p[-1] if p else 0) >= n - 1 - t)
+                rows = [[rng.randint(-10**12, 10**12) for _ in range(m)]
+                        for _ in range(n)]
+                calls.clear()
+                dets = construction._kept_minor_dets(rows)
+                assert len(calls) == prefixes, (n, r)
+                wide = M(rows)
+                assert dets == {kept: det_bareiss(select_columns(wide, kept + (m,)))
+                                for kept in combinations(range(1, m), n - 1)}, (n, r)
+                calls.clear()
+                ext = extend_columns(random_matrix(rng, n, 10**12), r)
+                construction._kept_minor_dets(ext.to_rows())
+                assert 1 <= len(calls) <= prefixes, (n, r)
 
     @pytest.mark.parametrize("n", range(2, 8))
     def test_det_q_against_build_q(self, n):

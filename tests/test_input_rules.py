@@ -32,6 +32,7 @@ from nstepdet.exact_linalg import (
     select_columns,
 )
 from nstepdet.identities import generalized_docagne, ratio_invariance, verify_cassini
+from nstepdet.nstep_seq import CLASSIC, terms_range
 
 M = IntMatrix.from_rows
 SQUARE2 = M([[2, 1], [1, 1]])
@@ -92,11 +93,24 @@ def test_good_index_list_accepted(call, expected):
     (lambda: check_prop1(SQUARE2, True, [1]), "^parameter r must be an int, got True$"),
     (lambda: minor_selection(2, 1, [True]), "^deleted column indices must be ints"),
     (lambda: minor_selection(2, 1, [1.0]), "^deleted column indices must be ints"),
+    (lambda: terms_range(2.5, CLASSIC, 1, 3), "^parameter n must be an int, got 2.5$"),
+    (lambda: terms_range(True, CLASSIC, -3, 3), "^parameter n must be an int, got True$"),
 ], ids=["build-P-bool", "build-P-float", "cassini-bool", "cassini-float",
-        "prop1-bool", "selection-bool", "selection-float"])
+        "prop1-bool", "selection-bool", "selection-float", "terms-range-float",
+        "terms-range-bool"])
 def test_bool_or_float_is_not_an_int(call, error):
     with pytest.raises(ValueError, match=error):
         call()
+
+
+@pytest.mark.parametrize("r, error", [
+    (0, "^parameter r must be >= 1, got 0$"),
+    (2.5, "^parameter r must be an int, got 2.5$"),
+    (True, "^parameter r must be an int, got True$"),
+], ids=["zero", "float", "bool"])
+def test_empty_batch_still_validates_r(r, error):
+    with pytest.raises(ValueError, match=error):
+        check_prop1_all([], r)
 
 
 @pytest.mark.parametrize("call", [

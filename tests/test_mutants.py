@@ -21,9 +21,13 @@ def test_names_are_unique():
 
 def test_minor_walk_mutants_are_catalogued():
     # The shared-prefix walk's pivot-swap sign and carried divisor show only
-    # on inputs with zero pivots and on orders >= 3; keep both mutated.
+    # on inputs with zero pivots and on orders >= 3, and the root's sign for
+    # moving the last column to the top only at even orders; keep each
+    # mutated, with the zero subtree and the leaf's sign.
     names = {m[0] for m in mutants.MUTANTS}
-    assert {"minor-walk-swap-sign-kept", "minor-walk-divisor-one"} <= names
+    assert {"minor-walk-swap-sign-kept", "minor-walk-divisor-one",
+            "minor-walk-zero-subtree-one", "minor-walk-last-row-moved-unsigned",
+            "minor-walk-leaf-unsigned"} <= names
 
 
 def test_prop1_batch_mutants_are_catalogued():

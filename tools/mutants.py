@@ -80,14 +80,20 @@ MUTANTS = (
      "return type(i) is int and 1 <= i <= hi",
      "return 1 <= i <= hi"),
     ("minor-walk-swap-sign-kept", "src/nstepdet/construction.py",
-     "child_sign = -sign",
-     "child_sign = sign"),
+     "for u in vecs], -sign",
+     "for u in vecs], sign"),
     ("minor-walk-divisor-one", "src/nstepdet/construction.py",
-     "tail, pivot[0], child_sign))",
-     "tail, 1, child_sign))"),
+     "vecs[pos], pivot[0], sign))",
+     "vecs[pos], 1, sign))"),
     ("minor-walk-zero-subtree-one", "src/nstepdet/construction.py",
-     "dets[prefix + rest] = 0",
-     "dets[prefix + rest] = 1"),
+     "dets[kept + rest] = 0",
+     "dets[kept + rest] = 1"),
+    ("minor-walk-last-row-moved-unsigned", "src/nstepdet/construction.py",
+     "last, 1, (-1) ** (n - 1))]",
+     "last, 1, 1)]"),
+    ("minor-walk-leaf-unsigned", "src/nstepdet/construction.py",
+     "dets[kept + (col,)] = sign * u[0]",
+     "dets[kept + (col,)] = u[0]"),
     ("seq-decimal-default-precision", "src/nstepdet/cli.py",
      "prec=decimal.MAX_PREC,",
      "prec=28,"),
