@@ -15,9 +15,16 @@ report's ``params`` are its subcommand's flags as parsed, in the order
 ``build_parser`` declares them, without ``--format`` and ``--out``.
 
 Every JSON report (``seq``, ``verify``, ``prop1``, ``bench``) is written by
-``canonical_json``, one writer keyed on each value's type whose text is
-always that of ``json.dumps(obj, indent=2)``; no report goes through
-``json.dumps`` itself.
+one writer keyed on each value's type whose text is always that of
+``json.dumps(obj, indent=2)``; no report goes through ``json.dumps`` itself.
+``verify``, ``prop1`` and ``bench`` make every record first and then write
+``canonical_json``'s text, so a failing recheck leaves no report. ``seq``
+writes its report while it makes it: it sweeps ``_SEQ_BLOCK`` terms at a
+time and writes each block's text (through ``json_chunks``, the chunked
+form of the same writer, for JSON), so a run's memory does not grow with
+its window. Every usage error, an unwritable ``--out`` among them, comes
+before the first byte; a fault in a later block propagates and leaves a
+report without its end.
 """
 
 from __future__ import annotations
@@ -26,12 +33,15 @@ import argparse
 import csv
 import decimal
 import io
+import itertools
 import sys
 import time
+from contextlib import contextmanager
 from json.encoder import encode_basestring_ascii
 from math import prod
 from random import Random
-from typing import Callable
+from types import GeneratorType
+from typing import Callable, Iterable, Iterator
 
 from . import __version__
 from .exact_linalg import (
@@ -128,9 +138,11 @@ def random_matrix(rng: Random, order: int, bound: int) -> IntMatrix:
 
 
 # JSON text of each scalar type, by exact type, as ``json.dumps`` spells it
-# (a finite float's repr holds no "inf" or "nan").
+# (a finite float's repr holds no "inf" or "nan"). A Decimal is written as
+# the JSON string of its ``str``, which holds no character JSON escapes.
 _SCALAR_JSON = {
     str: encode_basestring_ascii,
+    decimal.Decimal: lambda value: '"' + str(value) + '"',
     int: int.__repr__,
     float: lambda value: repr(value).replace("inf", "Infinity").replace("nan", "NaN"),
     bool: {False: "false", True: "true"}.__getitem__,
@@ -155,7 +167,13 @@ def _container_writers(depth: int, end: str = "") -> dict:
     """Writers of a list and of a dict at indentation ``depth``, laid out as
     ``json.dumps(indent=2)`` does and followed by ``end``. Each text is made
     by one join over its items' texts, never by wrapping joined text, so a
-    large report is not copied again at each level."""
+    large report is not copied again at each level.
+
+    The list writer of a generator, which yields lists, writes the one array
+    of their items and yields its text a list at a time; the dict writer of
+    depth 0 yields its text a value at a time, each generator value through
+    the generator writer of depth 1. So only a document's values can be
+    generators, and a document's text comes in pieces (``json_chunks``)."""
     pad = "\n" + "  " * depth
     inner = pad + "  "
     sep, list_open = "," + inner, "[" + inner
@@ -180,7 +198,36 @@ def _container_writers(depth: int, end: str = "") -> dict:
             parts += (prefixes[key], writers[type(value)](value), ",")
         parts[-1] = dict_close
         return "".join(parts)
-    return {list: write_list, dict: write_dict}
+
+    def list_chunks(blocks: Iterable[list]) -> Iterator[str]:
+        writers = _WRITERS[depth + 1]
+        opening = list_open
+        for block in blocks:
+            if block:
+                parts = [writers[type(v)](v) for v in block]
+                parts[0] = opening + parts[0]
+                yield sep.join(parts)
+                opening = sep
+        yield "[]" + end if opening is list_open else list_close
+
+    def dict_chunks(obj: dict) -> Iterator[str]:
+        if not obj:
+            yield "{}" + end
+            return
+        writers = _WRITERS[depth + 1]
+        opening = "{"
+        for key, value in obj.items():
+            yield opening + prefixes[key]
+            if type(value) is GeneratorType:
+                yield from writers[GeneratorType](value)
+            else:
+                yield writers[type(value)](value)
+            opening = ","
+        yield dict_close
+
+    if depth == 0:
+        return {list: lambda items: list_chunks((items,)), dict: dict_chunks}
+    return {list: write_list, dict: write_dict, GeneratorType: list_chunks}
 
 
 class _Writers(dict):
@@ -199,6 +246,17 @@ class _Writers(dict):
 _WRITERS = _Writers({0: _container_writers(0, "\n")})
 
 
+def json_chunks(obj) -> Iterator[str]:
+    """The text of ``canonical_json(obj)`` in pieces, for writing as it is
+    made: a value of the document that is a generator of lists is written
+    as one array of their items, a list at a time, so neither the array nor
+    its text is ever held whole."""
+    try:
+        yield from _WRITERS[0][type(obj)](obj)
+    except KeyError as exc:  # a value of a type no writer takes
+        raise TypeError(f"{exc.args[0].__name__} is not JSON serializable") from None
+
+
 def canonical_json(obj) -> str:
     """The one JSON serialization used everywhere: the text of
     ``json.dumps(obj, indent=2)`` plus a newline, so re-serializing a parsed
@@ -208,13 +266,11 @@ def canonical_json(obj) -> str:
     thousands of small records of a report, so the text is written here by
     one writer per value type. ``obj`` is a dict or a list; the values in it
     are dicts with str keys, lists, str, int, float, bool and None, by exact
-    type. Anything else (a tuple, a non-str key, a str or int subclass)
-    raises TypeError.
+    type, and ``decimal.Decimal``, written as the string of its ``str``.
+    Anything else (a tuple, a non-str key, a str or int subclass) raises
+    TypeError.
     """
-    try:
-        return _WRITERS[0][type(obj)](obj)
-    except KeyError as exc:  # a value of a type no writer takes
-        raise TypeError(f"{exc.args[0].__name__} is not JSON serializable") from None
+    return "".join(json_chunks(obj))
 
 
 def _elide(value: str) -> str:
@@ -258,14 +314,15 @@ def report_to_csv(report: dict) -> str:
     return buf.getvalue()
 
 
-def _write_output(text: str, out: str | None, summary_line: str | None = None) -> None:
+@contextmanager
+def _output(out: str | None) -> Iterator[Callable[[str], object]]:
+    """The write method of the file ``out``, open for the block, or of
+    stdout when ``out`` is None."""
     if out:
         with open(out, "w", encoding="utf-8") as fh:
-            fh.write(text)
-        if summary_line:
-            print(f"wrote {out}: {summary_line}")
+            yield fh.write
     else:
-        sys.stdout.write(text)
+        yield sys.stdout.write
 
 
 def _record_dict(case: dict, lhs: int, rhs: int) -> dict:
@@ -290,9 +347,13 @@ def _finish(args: argparse.Namespace, records: list[dict], timings: dict,
     summary = {"total": len(records), "passed": passed, "failed": len(records) - passed}
     report = {**_report_head(args), "records": records, "summary": summary,
               "timings_ms": timings}
-    write = {"json": canonical_json, "csv": report_to_csv}.get(args.format, report_to_table)
-    _write_output(write(report), args.out,
-                  " ".join(f"{key}={value}" for key, value in summary.items()))
+    render = {"json": canonical_json, "csv": report_to_csv}.get(args.format, report_to_table)
+    text = render(report)
+    with _output(args.out) as write:
+        write(text)
+    if args.out:
+        print(f"wrote {args.out}: "
+              + " ".join(f"{key}={value}" for key, value in summary.items()))
     return EXIT_OK if passed == len(records) else EXIT_FAIL
 
 
@@ -309,24 +370,57 @@ _EXACT_DECIMAL = decimal.Context(
     traps=[decimal.Inexact, decimal.Rounded])
 
 
+# Terms `seq` sweeps and writes at a time: the report's text is written a
+# block at a time, so neither the terms nor their text is ever held whole.
+_SEQ_BLOCK = 512
+
+
+def _seq_blocks(head: list[int], count: int) -> Iterator[list[decimal.Decimal]]:
+    """The first ``count`` terms from the window ``head`` on, as Decimals in
+    lists of at most ``_SEQ_BLOCK`` terms after ``head`` itself; each list
+    is swept on from the last n terms before it."""
+    n = len(head)
+    window = list(map(decimal.Decimal, head))
+    yield window
+    for done in range(n, count, _SEQ_BLOCK):
+        with decimal.localcontext(_EXACT_DECIMAL):
+            values = sweep(window, min(_SEQ_BLOCK, count - done))
+        window = values[-n:]
+        yield values[n:]
+
+
+def _table_chunks(blocks: Iterator[list]) -> Iterator[str]:
+    opening = ""
+    for block in blocks:
+        yield opening + " ".join(map(str, block))
+        opening = " "
+    yield "\n"
+
+
+def _csv_chunks(lo: int, blocks: Iterator[list]) -> Iterator[str]:
+    yield "k,term\n"
+    index = itertools.count(lo)
+    for block in blocks:
+        # The block first: zip stops on it without taking an index.
+        yield "".join([f"{k},{v}\n" for v, k in zip(block, index)])
+
+
 def cmd_seq(args: argparse.Namespace) -> int:
     conv = _CONVENTIONS[args.convention]
     lo, hi = getattr(args, "from"), args.to
     count = hi - lo + 1
     _check_cap(count, "terms", "--from or --to")
     head = terms_range(args.n, conv, lo, lo + min(args.n, count) - 1)
-    # No list of Decimal terms stays alive while the report is written,
-    # which would raise peak memory: only their text is kept.
-    with decimal.localcontext(_EXACT_DECIMAL):
-        texts = list(map(str, sweep(map(decimal.Decimal, head), count - len(head))))
+    blocks = _seq_blocks(head, count)
     if args.format == "json":
-        text = canonical_json({**_report_head(args), "terms": texts})
+        chunks = json_chunks({**_report_head(args), "terms": blocks})
     elif args.format == "csv":
-        lines = ["k,term"] + [f"{k},{v}" for k, v in zip(range(lo, hi + 1), texts)]
-        text = "\n".join(lines) + "\n"
+        chunks = _csv_chunks(lo, blocks)
     else:
-        text = " ".join(texts) + "\n"
-    _write_output(text, args.out)
+        chunks = _table_chunks(blocks)
+    with _output(args.out) as write:
+        for chunk in chunks:
+            write(chunk)
     return EXIT_OK
 
 

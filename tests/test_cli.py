@@ -17,13 +17,15 @@ from nstepdet.cli import (
     EXIT_FAIL,
     EXIT_OK,
     EXIT_USAGE,
+    _SEQ_BLOCK,
     _comb_past,
     canonical_json,
+    json_chunks,
     main,
     parse_range,
     parse_sizes,
 )
-from nstepdet.nstep_seq import CLASSIC, PAPER_POWERS, term, terms_range
+from nstepdet.nstep_seq import CLASSIC, PAPER_POWERS, sweep, term, terms_range
 
 
 def run(capsys, *argv):
@@ -118,6 +120,7 @@ class TestSeq:
             raise AssertionError("the window check must come before any work")
 
         monkeypatch.setattr("nstepdet.cli.terms_range", no_work)
+        monkeypatch.setattr("nstepdet.cli.sweep", no_work)
         started = time.perf_counter()
         code, out, err = run(capsys, "seq", "--n", "2", "--from", "-1000000000",
                              "--to", "1000000000")
@@ -125,6 +128,78 @@ class TestSeq:
         assert out == ""
         assert "terms" in err
         assert time.perf_counter() - started < 5.0
+
+    def test_oversized_window_opens_no_out_file(self, capsys, tmp_path):
+        target = tmp_path / "terms.json"
+        code, out, _ = run(capsys, "seq", "--n", "2", "--from", "1", "--to",
+                           "1000001", "--format", "json", "--out", str(target))
+        assert code == EXIT_USAGE and out == ""
+        assert not target.exists()
+
+    @pytest.mark.parametrize("fmt", ["json", "csv", "table"])
+    def test_unwritable_out_fails_before_the_sweep(self, capsys, monkeypatch,
+                                                    tmp_path, fmt):
+        def no_sweep(*args):
+            raise AssertionError("an unwritable --out must fail before the sweep")
+
+        monkeypatch.setattr("nstepdet.cli.sweep", no_sweep)
+        code, out, err = run(capsys, "seq", "--n", "2", "--from", "-900", "--to", "900",
+                             "--format", fmt, "--out", str(tmp_path))
+        assert code == EXIT_USAGE
+        assert out == ""
+        assert err.startswith("error: ")
+
+    @pytest.mark.parametrize("to_file", [False, True], ids=["stdout", "out"])
+    def test_fault_in_a_later_block_leaves_an_open_document(self, capsys, monkeypatch,
+                                                             tmp_path, to_file):
+        # The report is written while it is made: a fault after the first
+        # blocks propagates, and what was written cannot parse as complete.
+        calls = []
+
+        def failing_sweep(window, count):
+            calls.append(count)
+            if len(calls) == 3:
+                raise ArithmeticError("fault in a later block")
+            return sweep(window, count)
+
+        monkeypatch.setattr("nstepdet.cli.sweep", failing_sweep)
+        target = tmp_path / "terms.json"
+        argv = ["seq", "--n", "3", "--from", "-2000", "--to", "2000", "--format", "json"]
+        with pytest.raises(ArithmeticError):
+            main(argv + (["--out", str(target)] if to_file else []))
+        written = target.read_text() if to_file else capsys.readouterr().out
+        assert len(calls) == 3
+        assert written.startswith("{\n") and '"terms": [' in written
+        assert not written.endswith("]\n}\n")
+        with pytest.raises(json.JSONDecodeError):
+            json.loads(written)
+
+    # Windows that end just before, on and just after a write block, once
+    # and after several blocks; the jump window of n terms is written first.
+    @pytest.mark.parametrize("n, convention, lo", [
+        (2, "classic", -1300), (5, "paper", -40), (3, "classic", 1)])
+    @pytest.mark.parametrize("blocks", [1, 3])
+    @pytest.mark.parametrize("extra", [-1, 0, 1])
+    def test_windows_across_write_blocks(self, capsys, n, convention, lo, blocks,
+                                         extra):
+        hi = lo + n + blocks * _SEQ_BLOCK + extra - 1
+        conv = {"classic": CLASSIC, "paper": PAPER_POWERS}[convention]
+        expected = [str(v) for v in terms_range(n, conv, lo, hi)]
+        # The oracle walk at the ends and at every block boundary.
+        edges = {lo, hi} | {k for b in range(lo + n, hi + 2, _SEQ_BLOCK)
+                            for k in (b - 1, b) if lo <= k <= hi}
+        assert all(expected[k - lo] == str(term(n, conv, k)) for k in edges)
+        window = ["--n", str(n), "--convention", convention,
+                  "--from", str(lo), "--to", str(hi)]
+        code, payload, raw = run_json(capsys, "seq", *window, "--format", "json")
+        assert code == EXIT_OK and payload["terms"] == expected
+        assert raw == json.dumps(payload, indent=2) + "\n"
+        code, out, _ = run(capsys, "seq", *window, "--format", "csv")
+        assert code == EXIT_OK
+        assert out == "k,term\n" + "".join(
+            f"{k},{v}\n" for k, v in zip(range(lo, hi + 1), expected))
+        code, out, _ = run(capsys, "seq", *window)
+        assert code == EXIT_OK and out == " ".join(expected) + "\n"
 
     # Each ``run`` reads capsys out, so no output leaks between examples.
     @settings(max_examples=60, deadline=None,
@@ -593,6 +668,27 @@ REPORTS = st.one_of(
 )
 
 
+# Decimals of every kind (NaN, infinities, exponents, -0) among the values.
+DECIMAL_VALUES = st.recursive(
+    st.one_of(SCALARS, st.decimals(), st.integers(-10**80, 10**80).map(decimal.Decimal)),
+    lambda inner: st.one_of(st.lists(inner, max_size=4),
+                            st.dictionaries(TEXT, inner, max_size=4)),
+    max_leaves=12)
+DECIMAL_DOCUMENTS = st.one_of(st.lists(DECIMAL_VALUES, max_size=4),
+                              st.dictionaries(TEXT, DECIMAL_VALUES, max_size=4))
+
+
+def strs_for_decimals(value):
+    """``value`` with each Decimal in it replaced by its ``str``."""
+    if type(value) is decimal.Decimal:
+        return str(value)
+    if type(value) is list:
+        return [strs_for_decimals(v) for v in value]
+    if type(value) is dict:
+        return {k: strs_for_decimals(v) for k, v in value.items()}
+    return value
+
+
 @contextlib.contextmanager
 def no_json_encoder():
     """Any use of the standard JSON encoder fails inside this block."""
@@ -624,16 +720,42 @@ class TestRecordEmitter:
         {"case": {"n": b"12"}},
         {"deleted": [{1, 2}]},
         {"terms": ["1", type("Digits", (str,), {})("2")]},
+        {"lhs": type("Digits", (decimal.Decimal,), {})("12")},
+        {"terms": [(block for block in [["1"]])]},
     ], ids=repr)
     def test_non_json_raises(self, record):
         report = {"version": "1", "records": [{"lhs": "1"}, record], "summary": {}}
         with pytest.raises(TypeError):
             canonical_json(report)
 
-    @pytest.mark.parametrize("document", ["text", 12, 1.5, None, ("a", "tuple")], ids=repr)
+    @pytest.mark.parametrize("document", ["text", 12, 1.5, None, ("a", "tuple"),
+                                          decimal.Decimal(1), (b for b in [[1]])],
+                             ids=repr)
     def test_document_must_be_object_or_array(self, document):
         with pytest.raises(TypeError):
             canonical_json(document)
+
+    @settings(max_examples=200, deadline=None)
+    @given(document=DECIMAL_DOCUMENTS)
+    def test_decimal_is_written_as_its_str(self, document):
+        expected = json.dumps(strs_for_decimals(document), indent=2) + "\n"
+        with no_json_encoder():
+            assert canonical_json(document) == expected
+
+    @settings(max_examples=50, deadline=None)
+    @given(head=st.dictionaries(TEXT, DECIMAL_VALUES, max_size=3),
+           blocks=st.lists(st.lists(DECIMAL_VALUES, max_size=4), max_size=5),
+           tail=st.dictionaries(TEXT, DECIMAL_VALUES, max_size=2))
+    def test_chunks_write_a_generator_of_lists_as_one_array(self, head, blocks,
+                                                            tail):
+        # A document value that is a generator of lists (empty ones too) is
+        # the array of their items, written a list at a time.
+        document = {**head, "terms": [v for block in blocks for v in block], **tail}
+        lazy = {**document, "terms": (block for block in blocks)}
+        with no_json_encoder():
+            chunks = list(json_chunks(lazy))
+            assert "".join(chunks) == canonical_json(document)
+        assert len(chunks) >= 2 + sum(1 for block in blocks if block)
 
     def test_slot_text_inside_keys_and_strings(self):
         report = {"a\"records": [], "records": [{"x": '\n  "records": []'}],

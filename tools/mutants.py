@@ -98,8 +98,14 @@ MUTANTS = (
      "prec=decimal.MAX_PREC,",
      "prec=28,"),
     ("seq-decimal-sweep-one-short", "src/nstepdet/cli.py",
-     "count - len(head))",
-     "count - len(head) - 1)"),
+     "count - done))",
+     "count - done - 1))"),
+    ("seq-block-repeats-window", "src/nstepdet/cli.py",
+     "yield values[n:]",
+     "yield values"),
+    ("decimal-writer-unquoted", "src/nstepdet/cli.py",
+     """lambda value: '"' + str(value) + '"',""",
+     "str,"),
 )
 
 _SKIP = shutil.ignore_patterns(
