@@ -14,17 +14,17 @@ seed, all output except wall-time fields is byte-identical across runs. A
 report's ``params`` are its subcommand's flags as parsed, in the order
 ``build_parser`` declares them, without ``--format`` and ``--out``.
 
-Every JSON report (``seq``, ``verify``, ``prop1``, ``bench``) is written by
-one writer keyed on each value's type whose text is always that of
-``json.dumps(obj, indent=2)``; no report goes through ``json.dumps`` itself.
-``verify``, ``prop1`` and ``bench`` make every record first and then write
-``canonical_json``'s text, so a failing recheck leaves no report. ``seq``
-writes its report while it makes it: it sweeps ``_SEQ_BLOCK`` terms at a
-time and writes each block's text (through ``json_chunks``, the chunked
-form of the same writer, for JSON), so a run's memory does not grow with
-its window. Every usage error, an unwritable ``--out`` among them, comes
-before the first byte; a fault in a later block propagates and leaves a
-report without its end.
+Every JSON report's text is always that of ``json.dumps(obj, indent=2)``;
+no report goes through ``json.dumps`` itself. ``verify``, ``prop1`` and
+``bench`` make every record first and then write ``canonical_json``'s
+text, a writer keyed on each value's type, so a failing recheck leaves no
+report. ``seq`` writes its report while it makes it: it sweeps
+``_SEQ_BLOCK`` terms at a time and writes each block's text, so a run's
+memory does not grow with its window. Its JSON head comes from
+``canonical_json`` and its terms array from the same block joiner as its
+table. Every usage error, an unwritable ``--out`` among them, comes before
+the first byte; a fault in a later block propagates and leaves a report
+without its end.
 """
 
 from __future__ import annotations
@@ -40,8 +40,7 @@ from contextlib import contextmanager
 from json.encoder import encode_basestring_ascii
 from math import prod
 from random import Random
-from types import GeneratorType
-from typing import Callable, Iterable, Iterator
+from typing import Callable, Iterator
 
 from . import __version__
 from .exact_linalg import (
@@ -138,11 +137,9 @@ def random_matrix(rng: Random, order: int, bound: int) -> IntMatrix:
 
 
 # JSON text of each scalar type, by exact type, as ``json.dumps`` spells it
-# (a finite float's repr holds no "inf" or "nan"). A Decimal is written as
-# the JSON string of its ``str``, which holds no character JSON escapes.
+# (a finite float's repr holds no "inf" or "nan").
 _SCALAR_JSON = {
     str: encode_basestring_ascii,
-    decimal.Decimal: lambda value: '"' + str(value) + '"',
     int: int.__repr__,
     float: lambda value: repr(value).replace("inf", "Infinity").replace("nan", "NaN"),
     bool: {False: "false", True: "true"}.__getitem__,
@@ -167,13 +164,7 @@ def _container_writers(depth: int, end: str = "") -> dict:
     """Writers of a list and of a dict at indentation ``depth``, laid out as
     ``json.dumps(indent=2)`` does and followed by ``end``. Each text is made
     by one join over its items' texts, never by wrapping joined text, so a
-    large report is not copied again at each level.
-
-    The list writer of a generator, which yields lists, writes the one array
-    of their items and yields its text a list at a time; the dict writer of
-    depth 0 yields its text a value at a time, each generator value through
-    the generator writer of depth 1. So only a document's values can be
-    generators, and a document's text comes in pieces (``json_chunks``)."""
+    large report is not copied again at each level."""
     pad = "\n" + "  " * depth
     inner = pad + "  "
     sep, list_open = "," + inner, "[" + inner
@@ -199,35 +190,7 @@ def _container_writers(depth: int, end: str = "") -> dict:
         parts[-1] = dict_close
         return "".join(parts)
 
-    def list_chunks(blocks: Iterable[list]) -> Iterator[str]:
-        writers = _WRITERS[depth + 1]
-        opening = list_open
-        for block in blocks:
-            if block:
-                parts = [writers[type(v)](v) for v in block]
-                parts[0] = opening + parts[0]
-                yield sep.join(parts)
-                opening = sep
-        yield "[]" + end if opening is list_open else list_close
-
-    def dict_chunks(obj: dict) -> Iterator[str]:
-        if not obj:
-            yield "{}" + end
-            return
-        writers = _WRITERS[depth + 1]
-        opening = "{"
-        for key, value in obj.items():
-            yield opening + prefixes[key]
-            if type(value) is GeneratorType:
-                yield from writers[GeneratorType](value)
-            else:
-                yield writers[type(value)](value)
-            opening = ","
-        yield dict_close
-
-    if depth == 0:
-        return {list: lambda items: list_chunks((items,)), dict: dict_chunks}
-    return {list: write_list, dict: write_dict, GeneratorType: list_chunks}
+    return {list: write_list, dict: write_dict}
 
 
 class _Writers(dict):
@@ -241,36 +204,26 @@ class _Writers(dict):
 
 # Depth 0 holds only the document, an object or an array, whose text also
 # ends with the document's newline. The tables are shared by all documents:
-# building them per document cost tens of microseconds per report and
-# measured higher peak memory over repeated large `seq` reports.
+# building them per document cost tens of microseconds per report.
 _WRITERS = _Writers({0: _container_writers(0, "\n")})
 
 
-def json_chunks(obj) -> Iterator[str]:
-    """The text of ``canonical_json(obj)`` in pieces, for writing as it is
-    made: a value of the document that is a generator of lists is written
-    as one array of their items, a list at a time, so neither the array nor
-    its text is ever held whole."""
-    try:
-        yield from _WRITERS[0][type(obj)](obj)
-    except KeyError as exc:  # a value of a type no writer takes
-        raise TypeError(f"{exc.args[0].__name__} is not JSON serializable") from None
-
-
 def canonical_json(obj) -> str:
-    """The one JSON serialization used everywhere: the text of
-    ``json.dumps(obj, indent=2)`` plus a newline, so re-serializing a parsed
-    report reproduces it byte for byte.
+    """The text of ``json.dumps(obj, indent=2)`` plus a newline, so
+    re-serializing a parsed report reproduces it byte for byte: the whole
+    text of every report but ``seq``'s, and the head of ``seq``'s.
 
     ``json.dumps(indent=2)`` runs the pure-Python encoder, slow on the
     thousands of small records of a report, so the text is written here by
     one writer per value type. ``obj`` is a dict or a list; the values in it
     are dicts with str keys, lists, str, int, float, bool and None, by exact
-    type, and ``decimal.Decimal``, written as the string of its ``str``.
-    Anything else (a tuple, a non-str key, a str or int subclass) raises
-    TypeError.
+    type. Anything else (a tuple, a non-str key, a str or int subclass, a
+    Decimal) raises TypeError.
     """
-    return "".join(json_chunks(obj))
+    try:
+        return _WRITERS[0][type(obj)](obj)
+    except KeyError as exc:  # a value of a type no writer takes
+        raise TypeError(f"{exc.args[0].__name__} is not JSON serializable") from None
 
 
 def _elide(value: str) -> str:
@@ -318,7 +271,7 @@ def report_to_csv(report: dict) -> str:
 def _output(out: str | None) -> Iterator[Callable[[str], object]]:
     """The write method of the file ``out``, open for the block, or of
     stdout when ``out`` is None."""
-    if out:
+    if out is not None:
         with open(out, "w", encoding="utf-8") as fh:
             yield fh.write
     else:
@@ -351,7 +304,7 @@ def _finish(args: argparse.Namespace, records: list[dict], timings: dict,
     text = render(report)
     with _output(args.out) as write:
         write(text)
-    if args.out:
+    if args.out is not None:
         print(f"wrote {args.out}: "
               + " ".join(f"{key}={value}" for key, value in summary.items()))
     return EXIT_OK if passed == len(records) else EXIT_FAIL
@@ -389,12 +342,15 @@ def _seq_blocks(head: list[int], count: int) -> Iterator[list[decimal.Decimal]]:
         yield values[n:]
 
 
-def _table_chunks(blocks: Iterator[list]) -> Iterator[str]:
-    opening = ""
+def _joined_chunks(blocks: Iterator[list], start: str, sep: str,
+                   end: str) -> Iterator[str]:
+    """The text ``start + sep.join(map(str, items)) + end`` of the items of
+    ``blocks``, which are not empty, a block at a time."""
+    opening = start
     for block in blocks:
-        yield opening + " ".join(map(str, block))
-        opening = " "
-    yield "\n"
+        yield opening + sep.join(map(str, block))
+        opening = sep
+    yield end
 
 
 def _csv_chunks(lo: int, blocks: Iterator[list]) -> Iterator[str]:
@@ -413,11 +369,14 @@ def cmd_seq(args: argparse.Namespace) -> int:
     head = terms_range(args.n, conv, lo, lo + min(args.n, count) - 1)
     blocks = _seq_blocks(head, count)
     if args.format == "json":
-        chunks = json_chunks({**_report_head(args), "terms": blocks})
+        # The head's text without its closing "\n}\n", then the terms
+        # array; a Decimal's str holds no character JSON escapes.
+        start = canonical_json(_report_head(args))[:-3] + ',\n  "terms": [\n    "'
+        chunks = _joined_chunks(blocks, start, '",\n    "', '"\n  ]\n}\n')
     elif args.format == "csv":
         chunks = _csv_chunks(lo, blocks)
     else:
-        chunks = _table_chunks(blocks)
+        chunks = _joined_chunks(blocks, "", " ", "\n")
     with _output(args.out) as write:
         for chunk in chunks:
             write(chunk)

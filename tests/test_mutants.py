@@ -45,8 +45,8 @@ def test_seq_decimal_mutants_are_catalogued():
     # `seq` text comes from exact decimal arithmetic: a precision that
     # rounds (the default 28 digits) and a sweep one term short must fail.
     # It is swept and written a block at a time: a block that writes its
-    # n-term overlap again, and Decimal text written as a bare JSON number,
-    # must fail too.
+    # n-term overlap again, and terms written as bare JSON numbers (the
+    # quotes cut from the separator of `seq`'s terms array), must fail too.
     names = {m[0] for m in mutants.MUTANTS}
     assert {"seq-decimal-default-precision", "seq-decimal-sweep-one-short",
             "seq-block-repeats-window", "decimal-writer-unquoted"} <= names

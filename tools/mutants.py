@@ -104,8 +104,8 @@ MUTANTS = (
      "yield values[n:]",
      "yield values"),
     ("decimal-writer-unquoted", "src/nstepdet/cli.py",
-     """lambda value: '"' + str(value) + '"',""",
-     "str,"),
+     r"""'",\n    "'""",
+     r"""',\n    '"""),
 )
 
 _SKIP = shutil.ignore_patterns(
