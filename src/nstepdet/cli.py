@@ -36,11 +36,12 @@ import io
 import itertools
 import sys
 import time
-from contextlib import contextmanager
+from contextlib import AbstractContextManager, nullcontext
+from dataclasses import replace
 from json.encoder import encode_basestring_ascii
 from math import prod
 from random import Random
-from typing import Callable, Iterator
+from typing import Callable, Iterator, TextIO
 
 from . import __version__
 from .exact_linalg import (
@@ -267,15 +268,10 @@ def report_to_csv(report: dict) -> str:
     return buf.getvalue()
 
 
-@contextmanager
-def _output(out: str | None) -> Iterator[Callable[[str], object]]:
-    """The write method of the file ``out``, open for the block, or of
-    stdout when ``out`` is None."""
-    if out is not None:
-        with open(out, "w", encoding="utf-8") as fh:
-            yield fh.write
-    else:
-        yield sys.stdout.write
+def _output(out: str | None) -> AbstractContextManager[TextIO]:
+    """The file ``out``, opened now and closed when the ``with`` block
+    ends, or stdout, left open, when ``out`` is None."""
+    return nullcontext(sys.stdout) if out is None else open(out, "w", encoding="utf-8")
 
 
 def _record_dict(case: dict, lhs: int, rhs: int) -> dict:
@@ -302,8 +298,8 @@ def _finish(args: argparse.Namespace, records: list[dict], timings: dict,
               "timings_ms": timings}
     render = {"json": canonical_json, "csv": report_to_csv}.get(args.format, report_to_table)
     text = render(report)
-    with _output(args.out) as write:
-        write(text)
+    with _output(args.out) as fh:
+        fh.write(text)
     if args.out is not None:
         print(f"wrote {args.out}: "
               + " ".join(f"{key}={value}" for key, value in summary.items()))
@@ -362,6 +358,7 @@ def _csv_chunks(lo: int, blocks: Iterator[list]) -> Iterator[str]:
 
 
 def cmd_seq(args: argparse.Namespace) -> int:
+    check_at_least(2, n=args.n)
     conv = _CONVENTIONS[args.convention]
     lo, hi = getattr(args, "from"), args.to
     count = hi - lo + 1
@@ -377,9 +374,8 @@ def cmd_seq(args: argparse.Namespace) -> int:
         chunks = _csv_chunks(lo, blocks)
     else:
         chunks = _joined_chunks(blocks, "", " ", "\n")
-    with _output(args.out) as write:
-        for chunk in chunks:
-            write(chunk)
+    with _output(args.out) as fh:
+        fh.writelines(chunks)
     return EXIT_OK
 
 
@@ -388,7 +384,8 @@ def cmd_seq(args: argparse.Namespace) -> int:
 
 
 def _verification_dict(rec: VerificationRecord, trial: int | None = None) -> dict:
-    return _record_dict(case_to_dict(rec.case, trial), rec.lhs, rec.rhs)
+    case = rec.case if trial is None else replace(rec.case, trial=trial)
+    return _record_dict(case_to_dict(case), rec.lhs, rec.rhs)
 
 
 def _plan_sweep(kind: str, args: argparse.Namespace, conventions, rng: Random,
@@ -451,7 +448,7 @@ def cmd_prop1(args: argparse.Namespace) -> int:
     check_at_least(1, trials=args.trials)
     check_at_least(0, bound=args.bound)
     r_values = parse_range(args.r)
-    base_matrix = parse_matrix(args.matrix) if args.matrix else None
+    base_matrix = parse_matrix(args.matrix) if args.matrix is not None else None
     if base_matrix is not None:
         n_values = [check_square("--matrix", base_matrix)]
         trials = 1

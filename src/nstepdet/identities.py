@@ -20,7 +20,7 @@ both the CLI's ``verify`` and ``convention_probe``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import KW_ONLY, dataclass, replace
 from itertools import product
 from typing import Callable, Iterator, Mapping, Sequence
 
@@ -74,15 +74,19 @@ class RegularityError(ValueError):
 
 @dataclass(frozen=True)
 class IdentityCase:
-    """An identity kind plus the parameters it actually uses."""
+    """An identity kind plus the parameters it actually uses. The fields are
+    declared in report order, which ``case_to_dict`` keeps; those after
+    ``r`` are keyword-only."""
 
     kind: str
     n: int
     r: int
-    convention: str
+    _: KW_ONLY
     s: int | None = None
     p: int | None = None
     q: int | None = None
+    trial: int | None = None
+    convention: str
 
 
 @dataclass(frozen=True)
@@ -98,19 +102,11 @@ class VerificationRecord:
         return self.lhs == self.rhs
 
 
-def case_to_dict(case: IdentityCase, trial: int | None = None) -> dict:
-    """Case as a plain dict with a fixed key order (for reports)."""
-    out: dict = {"kind": case.kind, "n": case.n, "r": case.r}
-    if case.s is not None:
-        out["s"] = case.s
-    if case.p is not None:
-        out["p"] = case.p
-    if case.q is not None:
-        out["q"] = case.q
-    if trial is not None:
-        out["trial"] = trial
-    out["convention"] = case.convention
-    return out
+def case_to_dict(case: IdentityCase) -> dict:
+    """Case as a plain dict for reports: the fields that are not None, in
+    the order ``IdentityCase`` declares them, which is the order its
+    ``__init__`` sets them in."""
+    return {key: value for key, value in vars(case).items() if value is not None}
 
 
 def _term_matrix(n: int, conv: Convention, index: Callable[[int, int], int]) -> IntMatrix:
@@ -134,7 +130,7 @@ def verify_cassini(n: int, r: int, conv: Convention = CLASSIC) -> VerificationRe
     """Cassini: det = (-1)^((n-1)r)."""
     lhs = det_bareiss(cassini_matrix(n, r, conv))
     rhs = (-1) ** ((n - 1) * r)
-    return VerificationRecord(IdentityCase(CASSINI, n, r, conv.name), lhs, rhs)
+    return VerificationRecord(IdentityCase(CASSINI, n, r, convention=conv.name), lhs, rhs)
 
 
 def docagne_matrix(n: int, r: int, s: int, conv: Convention = CLASSIC) -> IntMatrix:
@@ -149,7 +145,7 @@ def verify_docagne(n: int, r: int, s: int, conv: Convention = CLASSIC) -> Verifi
     """d'Ocagne: det = (-1)^((n-1)r) * term(s)."""
     lhs = det_bareiss(docagne_matrix(n, r, s, conv))
     rhs = (-1) ** ((n - 1) * r) * term(n, conv, s)
-    return VerificationRecord(IdentityCase(DOCAGNE, n, r, conv.name, s=s), lhs, rhs)
+    return VerificationRecord(IdentityCase(DOCAGNE, n, r, s=s, convention=conv.name), lhs, rhs)
 
 
 def vajda_matrix(n: int, r: int, p: int, q: int, conv: Convention = CLASSIC) -> IntMatrix:
@@ -169,14 +165,14 @@ def verify_vajda(n: int, r: int, p: int, q: int, conv: Convention = CLASSIC) -> 
     """Vajda: det = (-1)^((n-1)r + floor(n/2)) * term(p) * term(q)."""
     lhs = det_bareiss(vajda_matrix(n, r, p, q, conv))
     rhs = (-1) ** ((n - 1) * r + n // 2) * term(n, conv, p) * term(n, conv, q)
-    return VerificationRecord(IdentityCase(VAJDA, n, r, conv.name, p=p, q=q), lhs, rhs)
+    return VerificationRecord(
+        IdentityCase(VAJDA, n, r, p=p, q=q, convention=conv.name), lhs, rhs)
 
 
 def verify_catalan(n: int, r: int, p: int, conv: Convention = CLASSIC) -> VerificationRecord:
     """Catalan is Vajda at q = p: det = signed square of term(p)."""
     base = verify_vajda(n, r, p, p, conv)
-    return VerificationRecord(
-        IdentityCase(CATALAN, n, r, conv.name, p=p, q=p), base.lhs, base.rhs)
+    return replace(base, case=replace(base.case, kind=CATALAN))
 
 
 def _leading_minor_det(a: IntMatrix, r: int) -> int:
@@ -198,7 +194,7 @@ def generalized_docagne(a: IntMatrix, r: int) -> VerificationRecord:
     lhs = _leading_minor_det(a, r)
     rhs = term(n, PAPER_POWERS, r) * det_bareiss(a)
     return VerificationRecord(
-        IdentityCase(GEN_DOCAGNE, n, r, PAPER_POWERS.name), lhs, rhs)
+        IdentityCase(GEN_DOCAGNE, n, r, convention=PAPER_POWERS.name), lhs, rhs)
 
 
 def ratio_invariance(a: IntMatrix, b: IntMatrix, r: int) -> VerificationRecord:
@@ -216,7 +212,7 @@ def ratio_invariance(a: IntMatrix, b: IntMatrix, r: int) -> VerificationRecord:
     lhs = _leading_minor_det(a, r) * det_b
     rhs = _leading_minor_det(b, r) * det_a
     return VerificationRecord(
-        IdentityCase(RATIO_INVARIANCE, n, r, PAPER_POWERS.name), lhs, rhs)
+        IdentityCase(RATIO_INVARIANCE, n, r, convention=PAPER_POWERS.name), lhs, rhs)
 
 
 @dataclass(frozen=True)

@@ -17,6 +17,7 @@ from nstepdet.cli import (
     EXIT_FAIL,
     EXIT_OK,
     EXIT_USAGE,
+    _CSV_FIELDS,
     _SEQ_BLOCK,
     _comb_past,
     canonical_json,
@@ -113,6 +114,13 @@ class TestSeq:
     def test_missing_flag_is_usage_error(self, capsys):
         code, _, _ = run(capsys, "seq", "--n", "2", "--from", "1")
         assert code == EXIT_USAGE
+
+    @pytest.mark.parametrize("n", ["1", "0", "-3"])
+    def test_n_below_two_names_the_parameter(self, capsys, n):
+        code, out, err = run(capsys, "seq", "--n", n, "--from", "1", "--to", "3")
+        assert code == EXIT_USAGE
+        assert out == ""
+        assert err == f"error: parameter n must be >= 2, got {n}\n"
 
     def test_oversized_window_rejected_before_work(self, capsys, monkeypatch):
         def no_work(*args):
@@ -494,6 +502,17 @@ class TestProp1:
         assert out == ""
         assert err == "error: --matrix needs a square matrix, got 2x3\n"
 
+    @pytest.mark.parametrize("argv", [
+        ("prop1", "--n", "2", "--r", "1", "--trials", "1"),
+        ("verify", "gen-docagne", "--n", "2", "--r", "1", "--trials", "1"),
+    ])
+    def test_empty_matrix_literal_is_usage_error(self, capsys, argv):
+        # An empty --matrix is a literal to parse, not an absent flag.
+        code, out, err = run(capsys, *argv, "--matrix", "")
+        assert code == EXIT_USAGE
+        assert out == ""
+        assert err == "error: empty row in matrix literal ''\n"
+
 
 class TestBench:
     def test_term_engines_agree(self, capsys):
@@ -735,6 +754,34 @@ class TestRecordEmitter:
             code, out, _ = run(capsys, *[a.replace("_", " ") for a in argv.split()])
         assert code in (EXIT_OK, EXIT_FAIL)
         assert out == json.dumps(json.loads(out), indent=2) + "\n"
+
+
+class TestCaseLayout:
+    """Every record's case keys come in the order of the CSV columns; the
+    layouts each run yields, as space-separated keys."""
+
+    LAYOUTS = {
+        "verify all --n 2..3 --r 1..2 --s 1..2 --p 1..2 --q 1..2 --trials 2"
+        " --convention both": {
+            "kind n r convention", "kind n r s convention",
+            "kind n r p q convention", "kind n r trial convention"},
+        "verify gen-docagne --matrix 1_2;_0_1 --r 1..2": {"kind n r convention"},
+        "prop1 --n 2..3 --r 1..2 --trials 2": {"kind n r trial deleted"},
+        "bench bareiss-vs-laplace --order 2..3 --trials 2": {"kind task order trial"},
+        "bench term-fast-vs-iter --n 3 --k 5,90": {"kind task n k convention"},
+    }
+
+    @pytest.mark.parametrize("argv", LAYOUTS)
+    def test_case_keys_follow_the_csv_columns(self, capsys, argv):
+        code, report, _ = run_json(
+            capsys, *[a.replace("_", " ") for a in argv.split()], "--format", "json")
+        assert code in (EXIT_OK, EXIT_FAIL)
+        layouts = set()
+        for rec in report["records"]:
+            keys = list(rec["case"])
+            assert keys == [field for field in _CSV_FIELDS if field in keys], keys
+            layouts.add(" ".join(keys))
+        assert layouts == self.LAYOUTS[argv]
 
 
 class TestGoldenReports:

@@ -1,6 +1,7 @@
 import hashlib
 import json
 import random
+from dataclasses import replace
 
 import pytest
 
@@ -321,7 +322,7 @@ class TestReductionOracles:
 
 class TestVerificationRecord:
     def test_passed_is_derived_from_both_sides(self):
-        case = IdentityCase(CASSINI, 2, 1, "classic")
+        case = IdentityCase(CASSINI, 2, 1, convention="classic")
         assert not VerificationRecord(case, 2, 3).passed
         assert VerificationRecord(case, -5, -5).passed
 
@@ -408,6 +409,6 @@ class TestCaseToDict:
 
     def test_trial_slot(self):
         rec = verify_cassini(2, 1)
-        out = case_to_dict(rec.case, trial=3)
+        out = case_to_dict(replace(rec.case, trial=3))
         assert out["trial"] == 3
         assert list(out)[-1] == "convention"

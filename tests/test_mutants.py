@@ -52,6 +52,14 @@ def test_seq_decimal_mutants_are_catalogued():
             "seq-block-repeats-window", "decimal-writer-unquoted"} <= names
 
 
+def test_report_path_mutants_are_catalogued():
+    # A gen-docagne record's trial comes from the case the report copies
+    # it into, and --out goes to the file it names: a record that drops
+    # its trial and a report sent to stdout instead must fail.
+    names = {m[0] for m in mutants.MUTANTS}
+    assert {"case-trial-dropped", "out-file-ignored"} <= names
+
+
 @pytest.mark.parametrize("name, path, old, new", mutants.MUTANTS,
                          ids=[m[0] for m in mutants.MUTANTS])
 def test_old_text_occurs_once_in_src(name, path, old, new):

@@ -106,6 +106,12 @@ MUTANTS = (
     ("decimal-writer-unquoted", "src/nstepdet/cli.py",
      r"""'",\n    "'""",
      r"""',\n    '"""),
+    ("case-trial-dropped", "src/nstepdet/cli.py",
+     "else replace(rec.case, trial=trial)",
+     "else rec.case"),
+    ("out-file-ignored", "src/nstepdet/cli.py",
+     'open(out, "w", encoding="utf-8")',
+     "nullcontext(sys.stdout)"),
 )
 
 _SKIP = shutil.ignore_patterns(
