@@ -36,12 +36,11 @@ import io
 import itertools
 import sys
 import time
+from collections.abc import Callable, Iterator
 from contextlib import AbstractContextManager, nullcontext
-from dataclasses import replace
 from json.encoder import encode_basestring_ascii
 from math import prod
 from random import Random
-from typing import Callable, Iterator, TextIO
 
 from . import __version__
 from .exact_linalg import (
@@ -268,7 +267,7 @@ def report_to_csv(report: dict) -> str:
     return buf.getvalue()
 
 
-def _output(out: str | None) -> AbstractContextManager[TextIO]:
+def _output(out: str | None) -> AbstractContextManager[io.TextIOBase]:
     """The file ``out``, opened now and closed when the ``with`` block
     ends, or stdout, left open, when ``out`` is None."""
     return nullcontext(sys.stdout) if out is None else open(out, "w", encoding="utf-8")
@@ -384,7 +383,7 @@ def cmd_seq(args: argparse.Namespace) -> int:
 
 
 def _verification_dict(rec: VerificationRecord, trial: int | None = None) -> dict:
-    case = rec.case if trial is None else replace(rec.case, trial=trial)
+    case = rec.case if trial is None else rec.case._replace(trial=trial)
     return _record_dict(case_to_dict(case), rec.lhs, rec.rhs)
 
 

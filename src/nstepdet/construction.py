@@ -48,9 +48,9 @@ determinants are exactly the n-step Fibonacci numbers with power seeding.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
+from collections.abc import Iterable, Sequence
 from itertools import combinations
-from typing import Iterable, Sequence
 
 from .exact_linalg import (
     DimensionError,
@@ -78,18 +78,12 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class Prop1Record:
+class Prop1Record(namedtuple("Prop1Record", "n r deleted minor_value sign det_q det_a")):
     """One evaluation of the signed-minor product rule: the minor's
-    determinant (left side) and the factors of the right side."""
+    determinant (left side) and the factors of the right side, all ints but
+    ``deleted``, a tuple of ints."""
 
-    n: int
-    r: int
-    deleted: tuple[int, ...]
-    minor_value: int
-    sign: int
-    det_q: int
-    det_a: int
+    __slots__ = ()
 
     @property
     def rhs(self) -> int:

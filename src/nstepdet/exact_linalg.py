@@ -21,9 +21,8 @@ Every module validates through these three.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections.abc import Iterable, Sequence
 from itertools import chain
-from typing import Iterable, Sequence
 
 __all__ = [
     "LAPLACE_MAX_ORDER",
@@ -109,16 +108,17 @@ def _is_index(i: int, hi: int) -> bool:
     return type(i) is int and 1 <= i <= hi
 
 
-@dataclass(frozen=True)
 class IntMatrix:
-    """Dense row-major matrix of Python ints; immutable and hashable."""
+    """Dense row-major matrix of Python ints; immutable and hashable.
 
-    rows: int
-    cols: int
-    entries: tuple[int, ...]
+    ``__init__`` is the one constructor and checks every matrix. Fields can
+    be neither assigned nor deleted, and a copy or an unpickled matrix is
+    rebuilt through ``__init__`` (``__reduce__``), so it is checked too.
+    """
 
-    def __post_init__(self) -> None:
-        rows, cols, entries = self.rows, self.cols, self.entries
+    __slots__ = ("rows", "cols", "entries")
+
+    def __init__(self, rows: int, cols: int, entries: tuple[int, ...]) -> None:
         if not (type(rows) is type(cols) is int and rows >= 1 and cols >= 1):
             raise DimensionError(
                 f"matrix must be at least 1x1, int by int, got {rows!r}x{cols!r}")
@@ -131,6 +131,32 @@ class IntMatrix:
             # Exact type: bool is an int subclass but not a matrix entry.
             if type(e) is not int:
                 raise DimensionError(f"entries must be ints, got {type(e).__name__}")
+        # ``__setattr__`` refuses every assignment, so the slots are set
+        # through object's.
+        object.__setattr__(self, "rows", rows)
+        object.__setattr__(self, "cols", cols)
+        object.__setattr__(self, "entries", entries)
+
+    def __setattr__(self, name: str, value) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):
+        return type(self), (self.rows, self.cols, self.entries)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.rows, self.cols, self.entries) == (other.rows, other.cols, other.entries)
+
+    def __hash__(self) -> int:
+        return hash((self.rows, self.cols, self.entries))
+
+    def __repr__(self) -> str:
+        return (f"{type(self).__qualname__}(rows={self.rows!r}, cols={self.cols!r},"
+                f" entries={self.entries!r})")
 
     @staticmethod
     def from_rows(rows: Sequence[Sequence[int]]) -> "IntMatrix":

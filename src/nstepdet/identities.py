@@ -20,9 +20,9 @@ both the CLI's ``verify`` and ``convention_probe``.
 
 from __future__ import annotations
 
-from dataclasses import KW_ONLY, dataclass, replace
+from collections import namedtuple
+from collections.abc import Callable, Iterator, Mapping, Sequence
 from itertools import product
-from typing import Callable, Iterator, Mapping, Sequence
 
 from .exact_linalg import (
     IntMatrix,
@@ -72,30 +72,20 @@ class RegularityError(ValueError):
     """A matrix that must be nonsingular has determinant zero."""
 
 
-@dataclass(frozen=True)
-class IdentityCase:
-    """An identity kind plus the parameters it actually uses. The fields are
-    declared in report order, which ``case_to_dict`` keeps; those after
-    ``r`` are keyword-only."""
+class IdentityCase(namedtuple("IdentityCase", "kind n r s p q trial convention",
+                              defaults=(None,) * 5)):
+    """An identity kind plus the parameters it actually uses: ``kind`` and
+    ``convention`` are str, the others int or None when unused. The field
+    string above is the report order, which ``case_to_dict`` keeps. Every
+    caller passes the fields after ``r`` by keyword."""
 
-    kind: str
-    n: int
-    r: int
-    _: KW_ONLY
-    s: int | None = None
-    p: int | None = None
-    q: int | None = None
-    trial: int | None = None
-    convention: str
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class VerificationRecord:
-    """Exact left-hand side vs predicted right-hand side for one case."""
+class VerificationRecord(namedtuple("VerificationRecord", "case lhs rhs")):
+    """Exact left-hand side vs predicted right-hand side (ints) for one case."""
 
-    case: IdentityCase
-    lhs: int
-    rhs: int
+    __slots__ = ()
 
     @property
     def passed(self) -> bool:
@@ -104,9 +94,9 @@ class VerificationRecord:
 
 def case_to_dict(case: IdentityCase) -> dict:
     """Case as a plain dict for reports: the fields that are not None, in
-    the order ``IdentityCase`` declares them, which is the order its
-    ``__init__`` sets them in."""
-    return {key: value for key, value in vars(case).items() if value is not None}
+    the order ``IdentityCase`` declares them. Zipped with the field names
+    rather than read from ``_asdict()``, whose dict costs as much again."""
+    return {key: value for key, value in zip(case._fields, case) if value is not None}
 
 
 def _term_matrix(n: int, conv: Convention, index: Callable[[int, int], int]) -> IntMatrix:
@@ -172,7 +162,7 @@ def verify_vajda(n: int, r: int, p: int, q: int, conv: Convention = CLASSIC) -> 
 def verify_catalan(n: int, r: int, p: int, conv: Convention = CLASSIC) -> VerificationRecord:
     """Catalan is Vajda at q = p: det = signed square of term(p)."""
     base = verify_vajda(n, r, p, p, conv)
-    return replace(base, case=replace(base.case, kind=CATALAN))
+    return base._replace(case=base.case._replace(kind=CATALAN))
 
 
 def _leading_minor_det(a: IntMatrix, r: int) -> int:
@@ -215,13 +205,12 @@ def ratio_invariance(a: IntMatrix, b: IntMatrix, r: int) -> VerificationRecord:
         IdentityCase(RATIO_INVARIANCE, n, r, convention=PAPER_POWERS.name), lhs, rhs)
 
 
-@dataclass(frozen=True)
-class Family:
+class Family(namedtuple("Family", "axes verify")):
     """A sequence-matrix identity family: its parameter axes after n and r,
-    in nesting order, and its verifier, called as verify(n, r, *axes, conv)."""
+    a tuple of names in nesting order, and its verifier, called as
+    verify(n, r, *axes, conv)."""
 
-    axes: tuple[str, ...]
-    verify: Callable[..., VerificationRecord]
+    __slots__ = ()
 
 
 FAMILIES = {

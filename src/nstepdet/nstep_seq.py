@@ -32,10 +32,9 @@ and 1.5 s for n = 12.
 
 from __future__ import annotations
 
-from collections import deque
-from dataclasses import dataclass
+from collections import deque, namedtuple
+from collections.abc import Iterable
 from operator import mul
-from typing import Iterable
 
 from .exact_linalg import RangeError, check_at_least
 
@@ -52,12 +51,11 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class Convention:
-    """Initial-value convention: which values occupy indices 1..n."""
+class Convention(namedtuple("Convention", "name seeds", defaults=(None,))):
+    """Initial-value convention: which values occupy indices 1..n. ``name``
+    is a str; ``seeds``, a tuple of ints, is given only for ``custom``."""
 
-    name: str
-    seeds: tuple[int, ...] | None = None
+    __slots__ = ()
 
 
 CLASSIC = Convention("classic")

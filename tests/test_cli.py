@@ -474,6 +474,18 @@ class TestProp1:
             assert "records" in err
             assert time.perf_counter() - started < 5.0
 
+    def test_oversized_matrix_run_rejected_before_work(self, capsys, monkeypatch):
+        def no_work(*args):
+            raise AssertionError("the cap must count a --matrix run's records")
+
+        monkeypatch.setattr("nstepdet.cli.check_prop1_all", no_work)
+        # One 3x3 matrix over r 1..200: sum of C(r+2, 2) = 1,373,700 records.
+        code, out, err = run(capsys, "prop1", "--matrix", "1 0 0; 0 1 0; 0 0 1",
+                             "--r", "1..200")
+        assert code == EXIT_USAGE
+        assert out == ""
+        assert "records" in err
+
     def test_record_count_stops_past_the_cap(self):
         # Exact at or below the limit, above it otherwise, for every k.
         for m in range(40):
@@ -786,7 +798,7 @@ class TestCaseLayout:
 
 class TestGoldenReports:
     """SHA-256 of reports that no benchmark golden pins, with ``timings_ms``
-    removed from JSON reports."""
+    removed from JSON reports and cut from tables."""
 
     GOLDEN = {
         "verify all --n 2..4 --r 1..6 --convention both --format json": (
@@ -801,6 +813,12 @@ class TestGoldenReports:
             EXIT_OK, "f49ef4e1813e9168bac7dfdb7f20fd7ac9ddf306ed34f54acf337e5e90959ddb"),
         "prop1 --n 2..4 --r 1..4 --trials 3 --seed 9 --format json": (
             EXIT_OK, "ad746e544d4f852017b67ddf011e9eeeb087e0bf60c739bb7e3edd90d155d369"),
+        # The CSV join of each record's deleted columns.
+        "prop1 --n 3 --r 2 --trials 2 --seed 1 --format csv": (
+            EXIT_OK, "6c303348402b1aadba50b22cf291b891cd47d320c00e71d994e6e102f0fb567b"),
+        # A table whose 28-digit sides are elided.
+        "verify docagne --n 2 --r 1 --s 130": (
+            EXIT_OK, "40460526baffdcc11b8c6b2c6407625e2575e09e1593d60c3fe26d42b7d5fb68"),
     }
 
     @pytest.mark.parametrize("argv", GOLDEN)
@@ -810,4 +828,6 @@ class TestGoldenReports:
         assert code == exit_code
         if argv.endswith("json"):
             out = canonical_json(without_timings(json.loads(out)))
+        elif "--format" not in argv:  # a table, whose last line is timings_ms
+            out = out[:out.rindex("timings_ms:")]
         assert hashlib.sha256(out.encode()).hexdigest() == digest

@@ -483,13 +483,12 @@ class TestCheckProp1All:
         # The CLI rechecks one deletion per matrix on the per-deletion path;
         # a record that differs from the batch's must stop the run.
         code = textwrap.dedent("""
-            import dataclasses
             import sys
             import nstepdet.cli as cli
             reference = cli.check_prop1
             def skewed(a, r, deleted):
                 rec = reference(a, r, deleted)
-                return dataclasses.replace(rec, minor_value=rec.minor_value + 1)
+                return rec._replace(minor_value=rec.minor_value + 1)
             cli.check_prop1 = skewed
             sys.argv = ["nstepdet", "prop1", "--n", "2", "--r", "1",
                         "--trials", "1", "--format", "json"]

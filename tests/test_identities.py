@@ -1,7 +1,6 @@
 import hashlib
 import json
 import random
-from dataclasses import replace
 
 import pytest
 
@@ -409,6 +408,6 @@ class TestCaseToDict:
 
     def test_trial_slot(self):
         rec = verify_cassini(2, 1)
-        out = case_to_dict(replace(rec.case, trial=3))
+        out = case_to_dict(rec.case._replace(trial=3))
         assert out["trial"] == 3
         assert list(out)[-1] == "convention"

@@ -60,6 +60,14 @@ def test_report_path_mutants_are_catalogued():
     assert {"case-trial-dropped", "out-file-ignored"} <= names
 
 
+def test_guard_mutants_are_catalogued():
+    # A matrix is immutable, and a --matrix run counts its one trial toward
+    # the record cap: a matrix that takes assignment and a cap that counts
+    # no records for a --matrix run must fail.
+    names = {m[0] for m in mutants.MUTANTS}
+    assert {"matrix-assignment-allowed", "prop1-matrix-run-counts-no-trial"} <= names
+
+
 @pytest.mark.parametrize("name, path, old, new", mutants.MUTANTS,
                          ids=[m[0] for m in mutants.MUTANTS])
 def test_old_text_occurs_once_in_src(name, path, old, new):

@@ -55,6 +55,9 @@ MUTANTS = (
     ("prop1-grid-cap-removed", "src/nstepdet/cli.py",
      '_check_cap(due, "records", "--n, --r or --trials")',
      "pass"),
+    ("prop1-matrix-run-counts-no-trial", "src/nstepdet/cli.py",
+     "trials = 1",
+     "trials = 0"),
     ("matrix-entry-type-check-dropped", "src/nstepdet/exact_linalg.py",
      "if type(e) is not int:",
      "if False:"),
@@ -64,6 +67,9 @@ MUTANTS = (
     ("matrix-entries-tuple-check-dropped", "src/nstepdet/exact_linalg.py",
      "if type(entries) is not tuple:",
      "if False:"),
+    ("matrix-assignment-allowed", "src/nstepdet/exact_linalg.py",
+     'raise AttributeError(f"cannot assign to field {name!r}")',
+     "object.__setattr__(self, name, value)"),
     ("custom-seed-int-check-dropped", "src/nstepdet/nstep_seq.py",
      "if type(s) is not int:",
      "if False:"),
@@ -107,7 +113,7 @@ MUTANTS = (
      r"""'",\n    "'""",
      r"""',\n    '"""),
     ("case-trial-dropped", "src/nstepdet/cli.py",
-     "else replace(rec.case, trial=trial)",
+     "else rec.case._replace(trial=trial)",
      "else rec.case"),
     ("out-file-ignored", "src/nstepdet/cli.py",
      'open(out, "w", encoding="utf-8")',
