@@ -15,22 +15,22 @@ report's ``params`` are its subcommand's flags as parsed, in the order
 ``build_parser`` declares them, without ``--format`` and ``--out``.
 
 Every JSON report's text is always that of ``json.dumps(obj, indent=2)``;
-no report goes through ``json.dumps`` itself. ``verify``, ``prop1`` and
-``bench`` make every record first and then write ``canonical_json``'s
-text, a writer keyed on each value's type, so a failing recheck leaves no
-report. ``seq`` writes its report while it makes it: it sweeps
-``_SEQ_BLOCK`` terms at a time and writes each block's text, so a run's
-memory does not grow with its window. Its JSON head comes from
-``canonical_json`` and its terms array from the same block joiner as its
-table. Every usage error, an unwritable ``--out`` among them, comes before
-the first byte; a fault in a later block propagates and leaves a report
-without its end.
+no report goes through ``json.dumps`` itself. Every report is written while
+it is made, ``_BLOCK`` records (or ``seq`` terms) at a time, by one block
+joiner, so a run's memory does not grow with its records or its window. A
+JSON report's head, and the summary and timings that close it, come from
+``canonical_json``, a writer keyed on each value's type; each record's text
+comes from the same writer's tables, and ``seq``'s terms array from the
+terms' own text. A table or CSV report has one line function per record.
+Every usage error, an unwritable ``--out`` and a sweep with no records among
+them, comes before any work and the first byte; a fault in a later block,
+a failing prop1 recheck among them, propagates and leaves a report without
+its end.
 """
 
 from __future__ import annotations
 
 import argparse
-import csv
 import decimal
 import io
 import itertools
@@ -232,45 +232,46 @@ def _elide(value: str) -> str:
     return f"{value[:12]}...({len(value)} digits)"
 
 
-def report_to_table(report: dict) -> str:
-    lines = []
-    for rec in report["records"]:
-        case = " ".join(f"{key}={value}" for key, value in rec["case"].items())
-        verdict = "pass" if rec["pass"] else "FAIL"
-        lines.append(
-            f"{case}  lhs={_elide(rec['lhs'])}  rhs={_elide(rec['rhs'])}  {verdict}")
-    summary = report["summary"]
-    lines.append(
-        f"summary: total={summary['total']} passed={summary['passed']}"
-        f" failed={summary['failed']}")
-    timings = " ".join(f"{key}={value:.3f}" for key, value in report["timings_ms"].items())
-    lines.append(f"timings_ms: {timings}")
-    return "\n".join(lines) + "\n"
+def _table_line(rec: dict) -> str:
+    case = " ".join(f"{key}={value}" for key, value in rec["case"].items())
+    verdict = "pass" if rec["pass"] else "FAIL"
+    return f"{case}  lhs={_elide(rec['lhs'])}  rhs={_elide(rec['rhs'])}  {verdict}"
 
 
 _CSV_FIELDS = ["kind", "task", "n", "r", "s", "p", "q", "k", "order", "trial",
                "deleted", "convention", "lhs", "rhs", "pass"]
 
 
-def report_to_csv(report: dict) -> str:
-    buf = io.StringIO()
-    writer = csv.DictWriter(buf, fieldnames=_CSV_FIELDS, extrasaction="ignore",
-                            lineterminator="\n")
-    writer.writeheader()
-    for rec in report["records"]:
-        row = dict(rec["case"])
-        if "deleted" in row:
-            row["deleted"] = " ".join(str(j) for j in row["deleted"])
-        row.update(lhs=rec["lhs"], rhs=rec["rhs"],
-                   **{"pass": "true" if rec["pass"] else "false"})
-        writer.writerow(row)
-    return buf.getvalue()
+def _csv_line(rec: dict) -> str:
+    """A record's CSV row. No value holds a comma, a quote or a line break,
+    so none is quoted."""
+    row = {**rec["case"], "lhs": rec["lhs"], "rhs": rec["rhs"],
+           "pass": "true" if rec["pass"] else "false"}
+    if "deleted" in row:
+        row["deleted"] = " ".join(map(str, row["deleted"]))
+    return ",".join([str(row.get(field, "")) for field in _CSV_FIELDS])
 
 
 def _output(out: str | None) -> AbstractContextManager[io.TextIOBase]:
     """The file ``out``, opened now and closed when the ``with`` block
     ends, or stdout, left open, when ``out`` is None."""
     return nullcontext(sys.stdout) if out is None else open(out, "w", encoding="utf-8")
+
+
+# Records, or `seq` terms, a report makes and writes at a time: neither
+# they nor their text is ever held whole.
+_BLOCK = 512
+
+
+def _joined_chunks(blocks: Iterator[list], text: Callable, start: str, sep: str,
+                   end: str) -> Iterator[str]:
+    """The text ``start + sep.join(map(text, items)) + end`` of the items of
+    ``blocks``, which are not empty, a block at a time."""
+    opening = start
+    for block in blocks:
+        yield opening + sep.join(map(text, block))
+        opening = sep
+    yield end
 
 
 def _record_dict(case: dict, lhs: int, rhs: int) -> dict:
@@ -285,24 +286,49 @@ def _report_head(args: argparse.Namespace) -> dict:
                        if key not in ("command", "func", "format", "out")}}
 
 
-def _finish(args: argparse.Namespace, records: list[dict], timings: dict,
-            started: float) -> int:
-    """Emit the report of ``records`` and return the exit code."""
-    if not records:
+def _json_start(args: argparse.Namespace, key: str) -> str:
+    """A JSON report's head without its closing "\n}\n", then the opening
+    of the array under ``key`` up to its first item."""
+    return canonical_json(_report_head(args))[:-3] + f',\n  "{key}": [\n    '
+
+
+def _finish(args: argparse.Namespace, count: int, records: Iterator[dict],
+            timings: dict, started: float) -> int:
+    """Write the report of ``records``, ``count`` of them as planned before
+    any work, ``_BLOCK`` at a time, then its summary and ``timings``, and
+    return the exit code. ``--out`` is opened before the first record is
+    made; a fault while making one leaves the blocks written before it."""
+    if not count:
         raise UsageError("the sweep produced no records, so nothing was checked")
-    timings["total"] = (time.perf_counter() - started) * 1000.0
-    passed = sum(1 for rec in records if rec["pass"])
-    summary = {"total": len(records), "passed": passed, "failed": len(records) - passed}
-    report = {**_report_head(args), "records": records, "summary": summary,
-              "timings_ms": timings}
-    render = {"json": canonical_json, "csv": report_to_csv}.get(args.format, report_to_table)
-    text = render(report)
+    if args.format == "json":
+        # Each record is written by canonical_json's depth-2 dict writer;
+        # the tail's text without its opening "{" closes the report.
+        layout = _WRITERS[2][dict], _json_start(args, "records"), ",\n    ", "\n  ],"
+    elif args.format == "csv":
+        layout = _csv_line, ",".join(_CSV_FIELDS) + "\n", "\n", "\n"
+    else:
+        layout = _table_line, "", "\n", "\n"
+    summary = {"total": 0, "passed": 0, "failed": 0}
+
+    def blocks() -> Iterator[list[dict]]:
+        for block in iter(lambda: list(itertools.islice(records, _BLOCK)), []):
+            summary["total"] += len(block)
+            summary["passed"] += sum(rec["pass"] for rec in block)
+            yield block
+
     with _output(args.out) as fh:
-        fh.write(text)
+        fh.writelines(_joined_chunks(blocks(), *layout))
+        summary["failed"] = summary["total"] - summary["passed"]
+        timings["total"] = (time.perf_counter() - started) * 1000.0
+        counts = " ".join(f"{key}={value}" for key, value in summary.items())
+        if args.format == "json":
+            fh.write(canonical_json({"summary": summary, "timings_ms": timings})[1:])
+        elif args.format == "table":
+            times = " ".join(f"{key}={value:.3f}" for key, value in timings.items())
+            fh.write(f"summary: {counts}\ntimings_ms: {times}\n")
     if args.out is not None:
-        print(f"wrote {args.out}: "
-              + " ".join(f"{key}={value}" for key, value in summary.items()))
-    return EXIT_OK if passed == len(records) else EXIT_FAIL
+        print(f"wrote {args.out}: {counts}")
+    return EXIT_FAIL if summary["failed"] else EXIT_OK
 
 
 # --------------------------------------------------------------------------
@@ -318,34 +344,18 @@ _EXACT_DECIMAL = decimal.Context(
     traps=[decimal.Inexact, decimal.Rounded])
 
 
-# Terms `seq` sweeps and writes at a time: the report's text is written a
-# block at a time, so neither the terms nor their text is ever held whole.
-_SEQ_BLOCK = 512
-
-
 def _seq_blocks(head: list[int], count: int) -> Iterator[list[decimal.Decimal]]:
     """The first ``count`` terms from the window ``head`` on, as Decimals in
-    lists of at most ``_SEQ_BLOCK`` terms after ``head`` itself; each list
+    lists of at most ``_BLOCK`` terms after ``head`` itself; each list
     is swept on from the last n terms before it."""
     n = len(head)
     window = list(map(decimal.Decimal, head))
     yield window
-    for done in range(n, count, _SEQ_BLOCK):
+    for done in range(n, count, _BLOCK):
         with decimal.localcontext(_EXACT_DECIMAL):
-            values = sweep(window, min(_SEQ_BLOCK, count - done))
+            values = sweep(window, min(_BLOCK, count - done))
         window = values[-n:]
         yield values[n:]
-
-
-def _joined_chunks(blocks: Iterator[list], start: str, sep: str,
-                   end: str) -> Iterator[str]:
-    """The text ``start + sep.join(map(str, items)) + end`` of the items of
-    ``blocks``, which are not empty, a block at a time."""
-    opening = start
-    for block in blocks:
-        yield opening + sep.join(map(str, block))
-        opening = sep
-    yield end
 
 
 def _csv_chunks(lo: int, blocks: Iterator[list]) -> Iterator[str]:
@@ -365,14 +375,13 @@ def cmd_seq(args: argparse.Namespace) -> int:
     head = terms_range(args.n, conv, lo, lo + min(args.n, count) - 1)
     blocks = _seq_blocks(head, count)
     if args.format == "json":
-        # The head's text without its closing "\n}\n", then the terms
-        # array; a Decimal's str holds no character JSON escapes.
-        start = canonical_json(_report_head(args))[:-3] + ',\n  "terms": [\n    "'
-        chunks = _joined_chunks(blocks, start, '",\n    "', '"\n  ]\n}\n')
+        # A Decimal's str holds no character JSON escapes.
+        start = _json_start(args, "terms") + '"'
+        chunks = _joined_chunks(blocks, str, start, '",\n    "', '"\n  ]\n}\n')
     elif args.format == "csv":
         chunks = _csv_chunks(lo, blocks)
     else:
-        chunks = _joined_chunks(blocks, "", " ", "\n")
+        chunks = _joined_chunks(blocks, str, "", " ", "\n")
     with _output(args.out) as fh:
         fh.writelines(chunks)
     return EXIT_OK
@@ -388,22 +397,22 @@ def _verification_dict(rec: VerificationRecord, trial: int | None = None) -> dic
 
 
 def _plan_sweep(kind: str, args: argparse.Namespace, conventions, rng: Random,
-                base_matrix: IntMatrix | None) -> tuple[int, Callable[[], list[dict]]]:
+                base_matrix: IntMatrix | None) -> tuple[int, Callable[[], Iterator[dict]]]:
     """The number of records the sweep of ``kind`` yields, and the sweep,
     deferred so the caller can cap the total before any work starts."""
     if kind == GEN_DOCAGNE:
         r_values = parse_range(args.r)
         if base_matrix is not None:
-            return _size(r_values), lambda: [
-                _verification_dict(generalized_docagne(base_matrix, r)) for r in r_values]
+            return _size(r_values), lambda: (
+                _verification_dict(generalized_docagne(base_matrix, r)) for r in r_values)
         if args.n is None:
             raise UsageError("--n is required (or pass --matrix)")
         n_values = parse_range(args.n)
         trials = range(1, args.trials + 1)
-        return _size(n_values) * _size(r_values) * args.trials, lambda: [
+        return _size(n_values) * _size(r_values) * args.trials, lambda: (
             _verification_dict(
                 generalized_docagne(random_matrix(rng, n, args.bound), r), trial)
-            for n in n_values for r in r_values for trial in trials]
+            for n in n_values for r in r_values for trial in trials)
     if args.n is None:
         raise UsageError("--n is required")
     grid = {axis: parse_range(getattr(args, axis)) for axis in ("n", "r", "s", "p", "q")}
@@ -412,9 +421,9 @@ def _plan_sweep(kind: str, args: argparse.Namespace, conventions, rng: Random,
     # benchmark's tracer patches those names (nstepdet.cli.verify_*).
     verify = globals()[family.verify.__name__]
     size = prod(_size(grid[axis]) for axis in ("n", "r", *family.axes))
-    return size * len(conventions), lambda: [
+    return size * len(conventions), lambda: (
         _verification_dict(rec)
-        for rec in family_records(verify, family.axes, grid, conventions)]
+        for rec in family_records(verify, family.axes, grid, conventions))
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
@@ -433,9 +442,10 @@ def cmd_verify(args: argparse.Namespace) -> int:
         base_matrix = parse_matrix(args.matrix)
     rng = Random(args.seed)
     plans = [_plan_sweep(kind, args, conventions, rng, base_matrix) for kind in kinds]
-    _check_cap(sum(size for size, _ in plans), "records", "the ranges or --trials")
-    records = [rec for _, sweep in plans for rec in sweep()]
-    return _finish(args, records, {}, started)
+    count = sum(size for size, _ in plans)
+    _check_cap(count, "records", "the ranges or --trials")
+    return _finish(args, count, (rec for _, sweep in plans for rec in sweep()), {},
+                   started)
 
 
 # --------------------------------------------------------------------------
@@ -462,15 +472,16 @@ def cmd_prop1(args: argparse.Namespace) -> int:
             due += trials * _comb_past(n + r - 1, r, MAX_RECORDS)
             _check_cap(due, "records", "--n, --r or --trials")
     rng = Random(args.seed)
-    records: list[dict] = []
-    for n in n_values:
-        for r in r_values:
+
+    def records() -> Iterator[dict]:
+        for n, r in itertools.product(n_values, r_values):
             mats = [base_matrix] if base_matrix is not None else [
                 random_matrix(rng, n, args.bound) for _ in range(trials)]
             for trial, (a, batch) in enumerate(
                     zip(mats, check_prop1_all(mats, r)), start=1):
                 # Recheck one deletion per matrix on the per-deletion
-                # reference path, cycling through the deletions by trial.
+                # reference path, cycling through the deletions by trial,
+                # before any of the matrix's records is written.
                 expected = batch[(trial - 1) % len(batch)]
                 if check_prop1(a, r, expected.deleted) != expected:
                     raise ArithmeticError(
@@ -479,8 +490,9 @@ def cmd_prop1(args: argparse.Namespace) -> int:
                 for rec in batch:
                     case = {"kind": "prop1", "n": n, "r": r, "trial": trial,
                             "deleted": list(rec.deleted)}
-                    records.append(_record_dict(case, rec.minor_value, rec.rhs))
-    return _finish(args, records, {}, started)
+                    yield _record_dict(case, rec.minor_value, rec.rhs)
+
+    return _finish(args, due, records(), {}, started)
 
 
 # --------------------------------------------------------------------------
@@ -498,37 +510,42 @@ def _timed(timings: dict, key: str, call: Callable[[], int]) -> int:
 
 def cmd_bench(args: argparse.Namespace) -> int:
     started = time.perf_counter()
-    records: list[dict] = []
     timings: dict = {}
     if args.task == "term-fast-vs-iter":
         conv = _CONVENTIONS[args.convention]
         ks = parse_sizes(args.k)
-        _check_cap(_size(ks), "records", "--k")
-        for k in ks:
-            slow = _timed(timings, f"iter[k={k}]", lambda: term(args.n, conv, k))
-            fast = _timed(timings, f"fast[k={k}]", lambda: term_fast(args.n, conv, k))
-            case = {"kind": "bench", "task": args.task, "n": args.n, "k": k,
-                    "convention": args.convention}
-            records.append(_record_dict(case, fast, slow))
+        count = _size(ks)
+        _check_cap(count, "records", "--k")
+
+        def records() -> Iterator[dict]:
+            for k in ks:
+                slow = _timed(timings, f"iter[k={k}]", lambda: term(args.n, conv, k))
+                fast = _timed(timings, f"fast[k={k}]", lambda: term_fast(args.n, conv, k))
+                case = {"kind": "bench", "task": args.task, "n": args.n, "k": k,
+                        "convention": args.convention}
+                yield _record_dict(case, fast, slow)
     else:  # bareiss-vs-laplace
         check_at_least(1, trials=args.trials)
         check_at_least(0, bound=args.bound)
         orders = parse_sizes(args.order)
-        _check_cap(_size(orders) * args.trials, "records", "--order or --trials")
+        count = _size(orders) * args.trials
+        _check_cap(count, "records", "--order or --trials")
         bad = [order for order in orders if not 1 <= order <= LAPLACE_MAX_ORDER]
         if bad:
             raise UsageError(f"--order must lie in 1..{LAPLACE_MAX_ORDER}"
                              f" (cofactor oracle limit), got {bad[0]}")
         rng = Random(args.seed)
-        for order in orders:
-            for trial in range(1, args.trials + 1):
+
+        def records() -> Iterator[dict]:
+            for order, trial in itertools.product(orders, range(1, args.trials + 1)):
                 a = random_matrix(rng, order, args.bound)
                 db = _timed(timings, f"bareiss[order={order}]", lambda: det_bareiss(a))
                 dl = _timed(timings, f"laplace[order={order}]", lambda: det_laplace(a))
                 case = {"kind": "bench", "task": args.task, "order": order,
                         "trial": trial}
-                records.append(_record_dict(case, db, dl))
-    return _finish(args, records, timings, started)
+                yield _record_dict(case, db, dl)
+
+    return _finish(args, count, records(), timings, started)
 
 
 # --------------------------------------------------------------------------

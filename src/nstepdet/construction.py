@@ -17,8 +17,9 @@ Three builders and two checkers make up the machinery:
                            of the band submatrix in the deleted rows, times
                            the determinant of the original matrix.
 * ``check_prop1_all``   -- the same rule for every deletion and a batch of
-                           matrices of one order, validated once at entry:
-                           its deletions come from ``combinations``. Per-
+                           matrices of one order, validated once at the
+                           call: its deletions come from ``combinations``.
+                           It gives one matrix's records at a time. Per-
                            matrix work (the extension, det of the matrix)
                            is done once per matrix, and P and each
                            deletion's kept columns, sign and band
@@ -49,7 +50,7 @@ determinants are exactly the n-step Fibonacci numbers with power seeding.
 from __future__ import annotations
 
 from collections import namedtuple
-from collections.abc import Iterable, Sequence
+from collections.abc import Iterable, Iterator, Sequence
 from itertools import combinations
 
 from .exact_linalg import (
@@ -214,17 +215,18 @@ def check_prop1(a: IntMatrix, r: int, deleted: Iterable[int]) -> Prop1Record:
     return Prop1Record(n, r, deleted, minor_value, sign, det_q, det_a)
 
 
-def check_prop1_all(mats: Iterable[IntMatrix], r: int) -> list[list[Prop1Record]]:
+def check_prop1_all(mats: Iterable[IntMatrix], r: int) -> Iterator[list[Prop1Record]]:
     """``check_prop1`` for every deletion, for each of a batch of matrices.
 
-    The matrices must be square and share one order n. Entry i of the
-    result equals ``[check_prop1(mats[i], r, d) for d in
-    combinations(range(1, n + r), r)]``. Only the matrices and r are
-    validated, once at entry: the deletions come from ``combinations``.
+    The matrices must be square and share one order n. The result is an
+    iterator whose item i equals ``[check_prop1(mats[i], r, d) for d in
+    combinations(range(1, n + r), r)]``, made when the iterator reaches it,
+    so a batch's records are never held whole. Only the matrices and r are
+    validated, once, at the call: the deletions come from ``combinations``.
     Work that does not depend on the deletion is done once: each matrix is
     extended and its determinant taken once, and P, the kept columns, the
-    signs and every det Q once for the whole batch (det Q does not depend
-    on the matrix). Every minor of one extension,
+    signs (cross-checked) and every det Q once for the whole batch, at the
+    call (det Q does not depend on the matrix). Every minor of one extension,
     and every det Q, is evaluated by fraction-free elimination of its own
     columns, shared between minors only where their kept columns agree
     (``_kept_minor_dets``: one walk per extension, and one per batch over
@@ -234,7 +236,7 @@ def check_prop1_all(mats: Iterable[IntMatrix], r: int) -> list[list[Prop1Record]
     check_at_least(1, r=r)
     mats = list(mats)
     if not mats:
-        return []
+        return iter(())
     n = check_square("check_prop1_all", *mats)
     # The walk's rows are P's columns, each followed by a 0, then e_(n+r).
     # Its minor that keeps columns d and the last is [[Q^T, 0], [0, 1]] for
@@ -247,13 +249,14 @@ def check_prop1_all(mats: Iterable[IntMatrix], r: int) -> list[list[Prop1Record]
     for deleted in combinations(range(1, n + r), r):
         kept = _kept(n, r, deleted)
         cell.append((deleted, kept, _checked_sign(n, r, deleted, kept), det_qs[deleted]))
-    batch = []
-    for a in mats:
+
+    def records(a: IntMatrix) -> list[Prop1Record]:
         dets = _kept_minor_dets(extend_columns(a, r).to_rows())
         det_a = det_bareiss(a)
-        batch.append([Prop1Record(n, r, deleted, dets[kept], sign, det_q, det_a)
-                      for deleted, kept, sign, det_q in cell])
-    return batch
+        return [Prop1Record(n, r, deleted, dets[kept], sign, det_q, det_a)
+                for deleted, kept, sign, det_q in cell]
+
+    return map(records, mats)
 
 
 def _kept_minor_dets(ext_rows: list[list[int]]) -> dict[tuple[int, ...], int]:

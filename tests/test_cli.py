@@ -1,6 +1,8 @@
 import contextlib
+import csv
 import decimal
 import hashlib
+import io
 import json
 import math
 import subprocess
@@ -18,7 +20,7 @@ from nstepdet.cli import (
     EXIT_OK,
     EXIT_USAGE,
     _CSV_FIELDS,
-    _SEQ_BLOCK,
+    _BLOCK,
     _comb_past,
     canonical_json,
     main,
@@ -189,11 +191,11 @@ class TestSeq:
     @pytest.mark.parametrize("extra", [-1, 0, 1])
     def test_windows_across_write_blocks(self, capsys, n, convention, lo, blocks,
                                          extra):
-        hi = lo + n + blocks * _SEQ_BLOCK + extra - 1
+        hi = lo + n + blocks * _BLOCK + extra - 1
         conv = {"classic": CLASSIC, "paper": PAPER_POWERS}[convention]
         expected = [str(v) for v in terms_range(n, conv, lo, hi)]
         # The oracle walk at the ends and at every block boundary.
-        edges = {lo, hi} | {k for b in range(lo + n, hi + 2, _SEQ_BLOCK)
+        edges = {lo, hi} | {k for b in range(lo + n, hi + 2, _BLOCK)
                             for k in (b - 1, b) if lo <= k <= hi}
         assert all(expected[k - lo] == str(term(n, conv, k)) for k in edges)
         window = ["--n", str(n), "--convention", convention,
@@ -617,15 +619,76 @@ class TestReportShape:
     @pytest.mark.parametrize("argv", [
         ("seq", "--n", "2", "--from", "1", "--to", "3"),
         ("verify", "cassini", "--n", "2", "--r", "1"),
+        ("prop1", "--n", "2", "--r", "1", "--trials", "1"),
+        ("bench", "bareiss-vs-laplace", "--order", "2", "--trials", "1"),
+        ("bench", "term-fast-vs-iter", "--k", "5"),
     ])
     @pytest.mark.parametrize("where", ["directory", "missing parent", "empty path"])
-    def test_unwritable_out_is_usage_error(self, capsys, tmp_path, argv, where):
+    def test_unwritable_out_is_usage_error(self, capsys, monkeypatch, tmp_path, argv,
+                                           where):
+        # --out is opened before any work, so no record or term is made.
+        def no_work(*args):
+            raise AssertionError("an unwritable --out must fail before any work")
+
+        for name in ("sweep", "family_records", "random_matrix", "check_prop1_all",
+                     "term", "term_fast"):
+            monkeypatch.setattr(f"nstepdet.cli.{name}", no_work)
         target = {"directory": tmp_path, "missing parent": tmp_path / "missing" / "x.txt",
                   "empty path": ""}[where]
         code, out, err = run(capsys, *argv, "--out", str(target))
         assert code == EXIT_USAGE
         assert err.startswith("error: ")
         assert out == ""
+
+    @pytest.mark.parametrize("fmt", ["json", "csv", "table"])
+    def test_records_are_written_a_block_at_a_time(self, monkeypatch, fmt):
+        # The first write comes once the first block of records is made,
+        # not after the whole sweep.
+        made = []
+        verify = nstepdet.cli.verify_cassini
+
+        def counted(*args):
+            made.append(args)
+            return verify(*args)
+
+        class Stdout(io.StringIO):
+            made_at_first_write = None
+
+            def write(self, text):
+                if self.made_at_first_write is None:
+                    self.made_at_first_write = len(made)
+                return super().write(text)
+
+        stdout = Stdout()
+        monkeypatch.setattr("nstepdet.cli.verify_cassini", counted)
+        monkeypatch.setattr("sys.stdout", stdout)
+        code = main(["verify", "cassini", "--n", "2", "--r", "1..2000", "--format", fmt])
+        assert code == EXIT_OK and len(made) == 2000
+        assert 1 <= stdout.made_at_first_write <= _BLOCK
+
+    # Two blocks and a part of a third, a run of several sweeps whose
+    # records cross a block boundary, and a prop1 cell past one block.
+    @pytest.mark.parametrize("argv, total", [
+        ("verify cassini --n 2..4 --r 1..400", 1200),
+        ("verify all --n 2 --r 1..100 --s 1..3 --p 1..2 --q 1..2 --trials 1", 1100),
+        ("prop1 --n 3 --r 6 --trials 25", 700),
+    ])
+    def test_reports_across_record_blocks(self, capsys, argv, total):
+        code, report, raw = run_json(capsys, *argv.split(), "--format", "json")
+        assert code == EXIT_OK
+        assert raw == json.dumps(report, indent=2) + "\n"
+        assert report["summary"] == {"total": total, "passed": total, "failed": 0}
+        assert len(report["records"]) == total
+        code, out, _ = run(capsys, *argv.split(), "--format", "csv")
+        lines = out.splitlines()
+        assert code == EXIT_OK and len(lines) == total + 1
+        assert all(line.count(",") == len(_CSV_FIELDS) - 1 for line in lines)
+        assert [line.rsplit(",", 1)[1] for line in lines[1:]] == ["true"] * total
+        code, out, _ = run(capsys, *argv.split())
+        lines = out.splitlines()
+        assert code == EXIT_OK and len(lines) == total + 2
+        assert all(line.endswith("  pass") for line in lines[:total])
+        assert lines[total] == f"summary: total={total} passed={total} failed=0"
 
     def test_json_round_trip_bytes(self, capsys):
         for args in (
@@ -831,3 +894,19 @@ class TestGoldenReports:
         elif "--format" not in argv:  # a table, whose last line is timings_ms
             out = out[:out.rindex("timings_ms:")]
         assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+# Every CSV report of the tables above.
+CSV_RUNS = [argv for argv in TestGoldenReports.GOLDEN if argv.endswith("--format csv")] + [
+    argv + " --format csv" for argv in TestCaseLayout.LAYOUTS]
+
+
+@pytest.mark.parametrize("argv", CSV_RUNS)
+def test_csv_rows_need_no_quoting(capsys, argv):
+    # Rows are joined on "," without the csv module: the csv module's reader
+    # must read the same fields as a plain split.
+    code, out, _ = run(capsys, *[a.replace("_", " ") for a in argv.split()])
+    assert code in (EXIT_OK, EXIT_FAIL)
+    header, *rows = [line.split(",") for line in out.splitlines()]
+    assert rows and all(len(row) == len(header) for row in rows)
+    assert list(csv.DictReader(io.StringIO(out))) == [dict(zip(header, row)) for row in rows]

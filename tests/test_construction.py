@@ -1,3 +1,4 @@
+import json
 import random
 import subprocess
 import sys
@@ -11,7 +12,7 @@ from hypothesis import given, settings, strategies as st
 import nstepdet
 
 from nstepdet import construction
-from nstepdet.cli import random_matrix
+from nstepdet.cli import _BLOCK, random_matrix
 from nstepdet.exact_linalg import (
     DimensionError,
     IntMatrix,
@@ -336,7 +337,7 @@ class TestCheckProp1All:
         # bound 0 gives the zero matrix, so singular inputs are covered.
         mats = [draw_matrix(data, n, bound) for _ in range(count)]
         deletions = list(combinations(range(1, n + r), r))
-        assert check_prop1_all(mats, r) == [
+        assert list(check_prop1_all(mats, r)) == [
             [check_prop1(a, r, d) for d in deletions] for a in mats]
 
     @settings(max_examples=60, deadline=None)
@@ -380,7 +381,7 @@ class TestCheckProp1All:
         monkeypatch.setattr(construction, "minor_selection", refuse)
         monkeypatch.setattr(construction, "check_indices", refuse)
         for (n, r), mats in cells.items():
-            assert check_prop1_all(mats, r) == expected[n, r], (n, r)
+            assert list(check_prop1_all(mats, r)) == expected[n, r], (n, r)
 
     def test_walk_division_check_survives_optimize_flag(self):
         code = textwrap.dedent("""
@@ -467,7 +468,7 @@ class TestCheckProp1All:
             assert not rec.passed
 
     def test_empty_batch(self):
-        assert check_prop1_all([], 2) == []
+        assert list(check_prop1_all([], 2)) == []
 
     def test_mixed_or_non_square_orders_rejected(self):
         with pytest.raises(DimensionError):
@@ -498,6 +499,36 @@ class TestCheckProp1All:
         assert proc.returncode != 0
         assert proc.stdout == ""
         assert "ArithmeticError: batch and per-deletion prop1 disagree" in proc.stderr
+
+    def test_cli_recheck_disagreement_after_the_first_block(self):
+        # Each matrix is rechecked before its records are written, and the
+        # report is written a block at a time. A disagreement on the last of
+        # 30 trials (C(8, 6) = 28 records each, 840 in all) stops the run
+        # with the first block written: a report without its summary.
+        code = textwrap.dedent("""
+            import sys
+            import nstepdet.cli as cli
+            reference = cli.check_prop1
+            calls = []
+            def skewed(a, r, deleted):
+                calls.append(deleted)
+                rec = reference(a, r, deleted)
+                if len(calls) < 30:
+                    return rec
+                return rec._replace(minor_value=rec.minor_value + 1)
+            cli.check_prop1 = skewed
+            sys.argv = ["nstepdet", "prop1", "--n", "3", "--r", "6",
+                        "--trials", "30", "--format", "json"]
+            cli.console_main()
+        """)
+        proc = run_child(code)
+        assert proc.returncode != 0
+        assert "disagree for n=3, r=6, trial=30," in proc.stderr
+        assert proc.stdout.startswith("{\n") and '"records": [' in proc.stdout
+        assert proc.stdout.count('"kind": "prop1"') == _BLOCK < 29 * 28
+        assert '"summary"' not in proc.stdout
+        with pytest.raises(json.JSONDecodeError):
+            json.loads(proc.stdout)
 
 
 class TestQFibDet:

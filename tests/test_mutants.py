@@ -60,6 +60,14 @@ def test_report_path_mutants_are_catalogued():
     assert {"case-trial-dropped", "out-file-ignored"} <= names
 
 
+def test_record_block_mutants_are_catalogued():
+    # Every report is written a block at a time by one joiner and tallied
+    # per block: two blocks joined without their separator, and a passed
+    # count that stops after the first block, must fail.
+    names = {m[0] for m in mutants.MUTANTS}
+    assert {"block-separator-dropped", "summary-passed-from-first-block"} <= names
+
+
 def test_guard_mutants_are_catalogued():
     # A matrix is immutable, and a --matrix run counts its one trial toward
     # the record cap: a matrix that takes assignment and a cap that counts

@@ -118,6 +118,12 @@ MUTANTS = (
     ("out-file-ignored", "src/nstepdet/cli.py",
      'open(out, "w", encoding="utf-8")',
      "nullcontext(sys.stdout)"),
+    ("block-separator-dropped", "src/nstepdet/cli.py",
+     "opening = sep",
+     'opening = ""'),
+    ("summary-passed-from-first-block", "src/nstepdet/cli.py",
+     'summary["passed"] += sum(',
+     'summary["passed"] = summary["passed"] or sum('),
 )
 
 _SKIP = shutil.ignore_patterns(
