@@ -11,8 +11,10 @@ native numbers. ``seq`` takes the first n terms of its window from
 arithmetic (a context that raises on any rounding), whose text is linear in
 the digit count where ``str(int)`` is quadratic. Given identical flags and
 seed, all output except wall-time fields is byte-identical across runs. A
-report's ``params`` are its subcommand's flags as parsed, in the order
-``build_parser`` declares them, without ``--format`` and ``--out``.
+report's ``params`` are its subcommand's flags as parsed, each one left out
+at its default, in the order ``build_parser`` declares them, without
+``--format`` and ``--out``. A flag given explicitly that the run does not
+read is a usage error.
 
 Every JSON report's text is always that of ``json.dumps(obj, indent=2)``;
 no report goes through ``json.dumps`` itself. Every report is written while
@@ -114,6 +116,29 @@ def _check_cap(due: int, unit: str, flags: str) -> None:
     if due > MAX_RECORDS:
         raise UsageError(
             f"this run asks for more than {MAX_RECORDS} {unit}; narrow {flags}")
+
+
+# Defaults of the flags that only some runs of a command read. The parser
+# leaves each of them None, so ``_resolve_flags`` can tell a flag given
+# from one left out; a report's params show these values as they always did.
+_VERIFY_DEFAULTS = {"n": None, "s": "1..5", "p": "1..4", "q": "1..4",
+                    "convention": "classic", "trials": 5, "bound": 9, "seed": 0}
+_PROP1_DEFAULTS = {"n": "2..3", "trials": 20, "bound": 9, "seed": 0}
+_BENCH_DEFAULTS = {"n": 2, "k": "100000", "order": "6", "trials": 10, "bound": 9,
+                   "convention": "classic", "seed": 0}
+
+
+def _resolve_flags(args: argparse.Namespace, defaults: dict, used: set[str]) -> None:
+    """Reject each flag of ``defaults`` given explicitly that this run does
+    not read (``used`` names those it reads), then set those left out to
+    their defaults."""
+    unused = [f"--{name}" for name in defaults
+              if name not in used and getattr(args, name) is not None]
+    if unused:
+        raise UsageError(f"this run does not use {', '.join(unused)}")
+    for name, value in defaults.items():
+        if getattr(args, name) is None:
+            setattr(args, name, value)
 
 
 def _comb_past(m: int, k: int, limit: int) -> int:
@@ -426,20 +451,29 @@ def _plan_sweep(kind: str, args: argparse.Namespace, conventions, rng: Random,
         for rec in family_records(verify, family.axes, grid, conventions))
 
 
+def _verify_uses(kind: str, base_matrix: IntMatrix | None) -> set[str]:
+    """The flags of ``_VERIFY_DEFAULTS`` that the sweep of ``kind`` reads."""
+    if kind != GEN_DOCAGNE:
+        return {"n", "convention", *FAMILIES[kind].axes}
+    return set() if base_matrix is not None else {"n", "trials", "bound", "seed"}
+
+
 def cmd_verify(args: argparse.Namespace) -> int:
     started = time.perf_counter()
-    check_at_least(1, trials=args.trials)
-    check_at_least(0, bound=args.bound)
     kinds = list(_VERIFY_KINDS) if args.kind == "all" else [args.kind]
-    if args.convention == "both":
-        conventions = tuple(_CONVENTIONS.values())
-    else:
-        conventions = (_CONVENTIONS[args.convention],)
     base_matrix = None
     if args.matrix is not None:
         if kinds != ["gen-docagne"]:
             raise UsageError("--matrix is only valid with the gen-docagne kind")
         base_matrix = parse_matrix(args.matrix)
+    _resolve_flags(args, _VERIFY_DEFAULTS,
+                   set().union(*(_verify_uses(kind, base_matrix) for kind in kinds)))
+    check_at_least(1, trials=args.trials)
+    check_at_least(0, bound=args.bound)
+    if args.convention == "both":
+        conventions = tuple(_CONVENTIONS.values())
+    else:
+        conventions = (_CONVENTIONS[args.convention],)
     rng = Random(args.seed)
     plans = [_plan_sweep(kind, args, conventions, rng, base_matrix) for kind in kinds]
     count = sum(size for size, _ in plans)
@@ -454,10 +488,12 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
 def cmd_prop1(args: argparse.Namespace) -> int:
     started = time.perf_counter()
+    base_matrix = parse_matrix(args.matrix) if args.matrix is not None else None
+    _resolve_flags(args, _PROP1_DEFAULTS,
+                   set() if base_matrix is not None else set(_PROP1_DEFAULTS))
     check_at_least(1, trials=args.trials)
     check_at_least(0, bound=args.bound)
     r_values = parse_range(args.r)
-    base_matrix = parse_matrix(args.matrix) if args.matrix is not None else None
     if base_matrix is not None:
         n_values = [check_square("--matrix", base_matrix)]
         trials = 1
@@ -511,7 +547,10 @@ def _timed(timings: dict, key: str, call: Callable[[], int]) -> int:
 def cmd_bench(args: argparse.Namespace) -> int:
     started = time.perf_counter()
     timings: dict = {}
-    if args.task == "term-fast-vs-iter":
+    term_task = args.task == "term-fast-vs-iter"
+    _resolve_flags(args, _BENCH_DEFAULTS, {"n", "k", "convention"} if term_task
+                   else {"order", "trials", "bound", "seed"})
+    if term_task:
         conv = _CONVENTIONS[args.convention]
         ks = parse_sizes(args.k)
         count = _size(ks)
@@ -577,51 +616,46 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="sweep an identity family")
     p.add_argument("kind", choices=_VERIFY_KINDS + ("all",))
-    p.add_argument("--n", default=None, help="order range, e.g. 2..4")
+    p.add_argument("--n", help="order range, e.g. 2..4")
     p.add_argument("--r", default="1..10", help="shift range (default 1..10)")
-    p.add_argument("--s", default="1..5", help="d'Ocagne offset range")
-    p.add_argument("--p", default="1..4", help="Vajda/Catalan offset range")
-    p.add_argument("--q", default="1..4", help="Vajda offset range")
+    p.add_argument("--s", help="d'Ocagne offset range")
+    p.add_argument("--p", help="Vajda/Catalan offset range")
+    p.add_argument("--q", help="Vajda offset range")
     p.add_argument("--convention", choices=tuple(_CONVENTIONS) + ("both",),
-                   default="classic",
                    help="seed convention; 'both' probes the two side by side")
-    p.add_argument("--trials", type=int, default=5,
-                   help="random matrices per cell (gen-docagne)")
-    p.add_argument("--bound", type=int, default=9,
+    p.add_argument("--trials", type=int, help="random matrices per cell (gen-docagne)")
+    p.add_argument("--bound", type=int,
                    help="entry bound for random matrices (gen-docagne)")
     p.add_argument("--matrix", default=None,
                    help="explicit base matrix literal, e.g. '1 2; 0 1' (gen-docagne)")
     _add_common(p)
-    p.add_argument("--seed", type=int, default=0, help="seed for the random matrices")
+    p.add_argument("--seed", type=int, help="seed for the random matrices")
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("prop1", help="exhaustive signed-minor product-rule check")
-    p.add_argument("--n", default="2..3", help="order range")
+    p.add_argument("--n", help="order range")
     p.add_argument("--r", default="1..4", help="extension length range")
-    p.add_argument("--trials", type=int, default=20,
-                   help="random matrices per (n, r) cell")
-    p.add_argument("--bound", type=int, default=9,
-                   help="entry bound for random matrices")
+    p.add_argument("--trials", type=int, help="random matrices per (n, r) cell")
+    p.add_argument("--bound", type=int, help="entry bound for random matrices")
     p.add_argument("--matrix", default=None,
                    help="check one explicit matrix instead of random ones")
     _add_common(p)
-    p.add_argument("--seed", type=int, default=0, help="seed for the random matrices")
+    p.add_argument("--seed", type=int, help="seed for the random matrices")
     p.set_defaults(func=cmd_prop1)
 
     p = sub.add_parser("bench", help="time the two engines and check agreement")
     p.add_argument("task", choices=("term-fast-vs-iter", "bareiss-vs-laplace"))
-    p.add_argument("--n", type=int, default=2, help="step count (term bench)")
-    p.add_argument("--k", default="100000",
+    p.add_argument("--n", type=int, help="step count (term bench)")
+    p.add_argument("--k",
                    help="indices: comma list or a..b range (term bench); write a"
                         " list or range that starts negative as --k=-7,0")
-    p.add_argument("--order", default="6",
+    p.add_argument("--order",
                    help="matrix orders: comma list or a..b range (det bench)")
-    p.add_argument("--trials", type=int, default=10,
-                   help="matrices per order (det bench)")
-    p.add_argument("--bound", type=int, default=9, help="entry bound (det bench)")
-    p.add_argument("--convention", choices=tuple(_CONVENTIONS), default="classic")
+    p.add_argument("--trials", type=int, help="matrices per order (det bench)")
+    p.add_argument("--bound", type=int, help="entry bound (det bench)")
+    p.add_argument("--convention", choices=tuple(_CONVENTIONS))
     _add_common(p)
-    p.add_argument("--seed", type=int, default=0, help="seed for the random matrices")
+    p.add_argument("--seed", type=int, help="seed for the random matrices")
     p.set_defaults(func=cmd_bench)
 
     return parser

@@ -615,6 +615,95 @@ class TestBench:
         assert "nothing was checked" in err
 
 
+class TestUnusedFlags:
+    """A flag given explicitly that the run does not read is a usage error,
+    raised before any work; the same flag left out takes its default, which
+    the report's params show as before."""
+
+    @pytest.mark.parametrize("argv, flags", [
+        # prop1 --matrix checks one given matrix once.
+        ("prop1 --matrix 1_2;_0_1 --r 1 --n 5..9", "--n"),
+        ("prop1 --matrix 1_2;_0_1 --r 1 --trials 7", "--trials"),
+        ("prop1 --matrix 1_2;_0_1 --r 1 --bound 3", "--bound"),
+        ("prop1 --matrix 1_2;_0_1 --r 1 --seed 1", "--seed"),
+        ("prop1 --matrix 1_2;_0_1 --r 1 --n 5..9 --trials 7", "--n, --trials"),
+        # The sequence-matrix families draw no matrix, even at the default.
+        ("verify cassini --n 2 --r 1 --trials 0", "--trials"),
+        ("verify docagne --n 2 --r 1 --trials 5", "--trials"),
+        ("verify vajda --n 2 --r 1 --bound 9", "--bound"),
+        ("verify catalan --n 2 --r 1 --seed 0", "--seed"),
+        # Each family reads its own axes only.
+        ("verify cassini --n 2 --r 1 --s 1..2", "--s"),
+        ("verify docagne --n 2 --r 1 --p 1 --q 1", "--p, --q"),
+        ("verify catalan --n 2 --r 1 --q 1", "--q"),
+        # gen-docagne's records use the paper seeds and its own matrices.
+        ("verify gen-docagne --n 2 --r 1 --convention classic", "--convention"),
+        ("verify gen-docagne --n 2 --r 1 --s 1", "--s"),
+        ("verify gen-docagne --matrix 1_2;_0_1 --r 1 --n 2", "--n"),
+        ("verify gen-docagne --matrix 1_2;_0_1 --r 1 --trials 1", "--trials"),
+        ("verify gen-docagne --matrix 1_2;_0_1 --r 1 --bound 1", "--bound"),
+        ("verify gen-docagne --matrix 1_2;_0_1 --r 1 --seed 1", "--seed"),
+        # Each bench task takes none of the other's flags.
+        ("bench term-fast-vs-iter --k 5 --order 3", "--order"),
+        ("bench term-fast-vs-iter --k 5 --trials 1", "--trials"),
+        ("bench term-fast-vs-iter --k 5 --bound 1", "--bound"),
+        ("bench term-fast-vs-iter --k 5 --seed 1", "--seed"),
+        ("bench bareiss-vs-laplace --order 2 --n 3", "--n"),
+        ("bench bareiss-vs-laplace --order 2 --k 5", "--k"),
+        ("bench bareiss-vs-laplace --order 2 --convention paper", "--convention"),
+    ])
+    def test_unused_flag_is_usage_error(self, capsys, monkeypatch, argv, flags):
+        def no_work(*args):
+            raise AssertionError("the flag check must come before any work")
+
+        for name in ("family_records", "generalized_docagne", "random_matrix",
+                     "check_prop1_all", "term", "term_fast", "det_bareiss"):
+            monkeypatch.setattr(f"nstepdet.cli.{name}", no_work)
+        code, out, err = run(capsys, *[a.replace("_", " ") for a in argv.split()])
+        assert code == EXIT_USAGE
+        assert out == ""
+        assert err == f"error: this run does not use {flags}\n"
+
+    @pytest.mark.parametrize("argv", [
+        "verify all --n 2 --r 1 --s 1 --p 1 --q 1 --trials 1 --bound 1 --seed 1"
+        " --convention both",
+        "verify gen-docagne --n 2 --r 1 --trials 1 --bound 1 --seed 1",
+        "verify vajda --n 2 --r 1 --p 1 --q 1 --convention paper",
+        "prop1 --n 2 --r 1 --trials 1 --bound 1 --seed 1",
+        "bench term-fast-vs-iter --n 3 --k 5 --convention paper",
+        "bench bareiss-vs-laplace --order 2 --trials 1 --bound 1 --seed 1",
+    ])
+    def test_every_flag_a_run_reads_is_accepted(self, capsys, argv):
+        code, _, err = run(capsys, *argv.split())
+        assert code in (EXIT_OK, EXIT_FAIL), err
+
+    @pytest.mark.parametrize("argv, params", [
+        ("verify cassini --n 2 --r 1",
+         {"kind": "cassini", "n": "2", "r": "1", "s": "1..5", "p": "1..4",
+          "q": "1..4", "convention": "classic", "trials": 5, "bound": 9,
+          "matrix": None, "seed": 0}),
+        ("verify gen-docagne --matrix 1_2;_0_1 --r 1",
+         {"kind": "gen-docagne", "n": None, "r": "1", "s": "1..5", "p": "1..4",
+          "q": "1..4", "convention": "classic", "trials": 5, "bound": 9,
+          "matrix": "1 2; 0 1", "seed": 0}),
+        ("prop1 --matrix 1_2;_0_1 --r 1",
+         {"n": "2..3", "r": "1", "trials": 20, "bound": 9, "matrix": "1 2; 0 1",
+          "seed": 0}),
+        ("bench term-fast-vs-iter --k 5",
+         {"task": "term-fast-vs-iter", "n": 2, "k": "5", "order": "6", "trials": 10,
+          "bound": 9, "convention": "classic", "seed": 0}),
+        ("bench bareiss-vs-laplace --order 2 --trials 1",
+         {"task": "bareiss-vs-laplace", "n": 2, "k": "100000", "order": "2",
+          "trials": 1, "bound": 9, "convention": "classic", "seed": 0}),
+    ])
+    def test_defaults_fill_the_params(self, capsys, argv, params):
+        code, report, _ = run_json(
+            capsys, *[a.replace("_", " ") for a in argv.split()], "--format", "json")
+        assert code == EXIT_OK
+        assert report["params"] == params
+        assert list(report["params"]) == list(params)
+
+
 class TestReportShape:
     @pytest.mark.parametrize("argv", [
         ("seq", "--n", "2", "--from", "1", "--to", "3"),

@@ -76,6 +76,27 @@ def test_guard_mutants_are_catalogued():
     assert {"matrix-assignment-allowed", "prop1-matrix-run-counts-no-trial"} <= names
 
 
+def test_hankel_squares_mutants_are_catalogued():
+    # term_fast's last step reduces the Hankel form of terms 1+d..2n-1+d:
+    # a form that ignores the parity offset d, a hyperbolic pair step with
+    # the wrong sign, a nested division without the previous pivot, and a
+    # division whose remainder goes unchecked must fail.
+    names = {m[0] for m in mutants.MUTANTS}
+    assert {"hankel-parity-offset-dropped", "hankel-pair-sign-flipped",
+            "hankel-prev-factor-dropped", "hankel-division-check-dropped"} <= names
+
+
+def test_unused_flag_mutants_are_catalogued():
+    # A flag given explicitly that the run does not read exits 2: a dropped
+    # check, and each command's set of flags read taking in one it does not
+    # read, must fail.
+    names = {m[0] for m in mutants.MUTANTS}
+    assert {"unused-flag-check-dropped", "prop1-matrix-reads-random-flags",
+            "verify-family-reads-matrix-flags", "gen-docagne-matrix-reads-n",
+            "gen-docagne-reads-convention", "bench-term-reads-det-flags",
+            "bench-det-reads-term-flags"} <= names
+
+
 @pytest.mark.parametrize("name, path, old, new", mutants.MUTANTS,
                          ids=[m[0] for m in mutants.MUTANTS])
 def test_old_text_occurs_once_in_src(name, path, old, new):

@@ -1,13 +1,19 @@
 import pytest
 from hypothesis import given, strategies as st
 
+from random import Random
+
 from nstepdet.exact_linalg import RangeError
 from nstepdet.nstep_seq import (
     CLASSIC,
     PAPER_POWERS,
     Convention,
+    _exact_div,
+    _hankel_squares,
+    _hankel_value,
     custom,
     seed_block,
+    sweep,
     term,
     term_fast,
     terms_range,
@@ -179,11 +185,78 @@ class TestTermFast:
                     assert term_fast(n, conv, k) == term(n, conv, k), (n, k)
 
 
+class TestHankelSquares:
+    """term_fast's last step writes c'H_d c, H_d the Hankel matrix of terms
+    1+d..2n-1+d, as nested squares; checked here at random integer vectors
+    against the quadratic form itself."""
+
+    SEEDS = [seed_block(n, conv) for n in (2, 3, 6, 12) for conv in ALL_CONVENTIONS] + [
+        (0, 0), (0, 0, 0, 0, 0),
+        # Every diagonal entry left after the first step is zero at d = 1,
+        # so the reduction takes the hyperbolic pair step.
+        (-2, -2, 2),
+        (4, -1, 2), (1, -1, 1, -1), (3, 0, 0, -7, 1), (1, 0, 0, 0)]
+
+    @staticmethod
+    def _form(seeds, d, x):
+        n = len(seeds)
+        terms = sweep(seeds, n - 1 + d)[d:]
+        return sum(x[i] * x[j] * terms[i + j] for i in range(n) for j in range(n))
+
+    @pytest.mark.parametrize("seeds", SEEDS, ids=str)
+    @pytest.mark.parametrize("d", [0, 1])
+    def test_nested_squares_equal_the_form(self, seeds, d):
+        rng = Random(f"{seeds}/{d}")
+        steps = _hankel_squares(seeds, d)
+        assert len(steps) <= len(seeds)
+        for bits in (1, 8, 64, 4000):
+            for _ in range(25):
+                x = [rng.randint(-2 ** bits, 2 ** bits) for _ in seeds]
+                assert _hankel_value(steps, x) == self._form(seeds, d, x)
+
+    def test_pair_step_taken(self):
+        # After the pivot at (0, 0), H_1 of these seeds leaves [[0, 8], [8, 0]]:
+        # the pair's pivot is 2 * 8 and its row the sum of the two rows.
+        steps = _hankel_squares((-2, -2, 2), 1)
+        assert steps[1] == ((0, 8, 8), -2, 16)
+
+    def test_zero_seeds_give_no_steps(self):
+        for d in (0, 1):
+            assert _hankel_squares((0, 0, 0), d) == ()
+            assert term_fast(3, custom([0, 0, 0]), 1000 + d) == 0
+
+    @pytest.mark.parametrize("seeds", SEEDS, ids=str)
+    def test_one_step_per_unit_of_rank(self, seeds):
+        # Each step lowers the form's rank by one and the last leaves zero,
+        # so the reduction takes as many squares as H_d's rank.
+        sympy = pytest.importorskip("sympy")
+        n = len(seeds)
+        for d in (0, 1):
+            terms = sweep(seeds, n - 1 + d)[d:]
+            rank = sympy.Matrix(n, n, lambda i, j: terms[i + j]).rank()
+            assert len(_hankel_squares(seeds, d)) == rank
+
+    def test_inexact_division_raises(self):
+        assert _exact_div(-12, 4) == -3
+        with pytest.raises(ArithmeticError, match="inexact division"):
+            _exact_div(7, 2)
+
+
 class TestEngineProperties:
     @given(seq=SEQUENCES, k=st.integers(-3000, 3000))
     def test_term_fast_matches_term(self, seq, k):
         n, conv = seq
         assert term_fast(n, conv, k) == term(n, conv, k)
+
+    @given(seeds=st.integers(2, 12).flatmap(
+               lambda n: st.lists(st.integers(-2, 2), min_size=n, max_size=n)),
+           k=st.integers(-3000, 3000))
+    def test_term_fast_matches_term_small_seeds(self, seeds, k):
+        # Seeds from -2..2 make singular and degenerate Hankel forms common;
+        # k and k + 1 cover both parities of the last doubling.
+        conv = custom(seeds)
+        for index in (k, k + 1):
+            assert term_fast(len(seeds), conv, index) == term(len(seeds), conv, index)
 
     @given(seq=SEQUENCES,
            lo=st.one_of(st.integers(-3000, 3000), st.integers(-25, 10)),

@@ -124,6 +124,39 @@ MUTANTS = (
     ("summary-passed-from-first-block", "src/nstepdet/cli.py",
      'summary["passed"] += sum(',
      'summary["passed"] = summary["passed"] or sum('),
+    ("hankel-parity-offset-dropped", "src/nstepdet/nstep_seq.py",
+     "sweep(seeds, n - 1 + d)[d:]",
+     "sweep(seeds, n - 1 + d)[:2 * n - 1]"),
+    ("hankel-pair-sign-flipped", "src/nstepdet/nstep_seq.py",
+     "list(map(add, form[i], form[j]))",
+     "[a - b for a, b in zip(form[i], form[j])]"),
+    ("hankel-prev-factor-dropped", "src/nstepdet/nstep_seq.py",
+     "dot * dot + prev * value",
+     "dot * dot + value"),
+    ("hankel-division-check-dropped", "src/nstepdet/nstep_seq.py",
+     'raise ArithmeticError("inexact division in the Hankel form reduction")',
+     "pass"),
+    ("unused-flag-check-dropped", "src/nstepdet/cli.py",
+     "if unused:",
+     "if False:"),
+    ("prop1-matrix-reads-random-flags", "src/nstepdet/cli.py",
+     "set() if base_matrix is not None else set(_PROP1_DEFAULTS)",
+     "set(_PROP1_DEFAULTS)"),
+    ("verify-family-reads-matrix-flags", "src/nstepdet/cli.py",
+     'return {"n", "convention", *FAMILIES[kind].axes}',
+     'return {"n", "convention", "trials", "bound", "seed", *FAMILIES[kind].axes}'),
+    ("gen-docagne-matrix-reads-n", "src/nstepdet/cli.py",
+     "return set() if base_matrix is not None else {",
+     'return {"n", "trials", "bound", "seed"} if base_matrix is not None else {'),
+    ("gen-docagne-reads-convention", "src/nstepdet/cli.py",
+     'else {"n", "trials", "bound", "seed"}',
+     'else {"n", "convention", "trials", "bound", "seed"}'),
+    ("bench-term-reads-det-flags", "src/nstepdet/cli.py",
+     '{"n", "k", "convention"} if term_task',
+     '{"n", "k", "convention", "order", "trials", "bound", "seed"} if term_task'),
+    ("bench-det-reads-term-flags", "src/nstepdet/cli.py",
+     'else {"order", "trials", "bound", "seed"})',
+     'else {"order", "trials", "bound", "seed", "n", "k", "convention"})'),
 )
 
 _SKIP = shutil.ignore_patterns(
