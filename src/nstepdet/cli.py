@@ -21,9 +21,13 @@ no report goes through ``json.dumps`` itself. Every report is written while
 it is made, ``_BLOCK`` records (or ``seq`` terms) at a time, by one block
 joiner, so a run's memory does not grow with its records or its window. A
 JSON report's head, and the summary and timings that close it, come from
-``canonical_json``, a writer keyed on each value's type; each record's text
-comes from the same writer's tables, and ``seq``'s terms array from the
-terms' own text. A table or CSV report has one line function per record.
+``canonical_json``, a writer keyed on each value's type; a ``verify`` or
+``bench`` record's text comes from the same writer's tables, and ``seq``'s
+terms array from the terms' own text. A table or CSV report has one line
+function per format. ``prop1`` records of one (n, r) cell differ only in
+their trial, deleted columns, sides and verdict, so the format's line
+function writes one record of the cell with a hole for each, and every
+record fills the holes with one f-string.
 Every usage error, an unwritable ``--out`` and a sweep with no records among
 them, comes before any work and the first byte; a fault in a later block,
 a failing prop1 recheck among them, propagates and leaves a report without
@@ -42,6 +46,7 @@ from collections.abc import Callable, Iterator
 from contextlib import AbstractContextManager, nullcontext
 from json.encoder import encode_basestring_ascii
 from math import prod
+from operator import itemgetter
 from random import Random
 
 from . import __version__
@@ -55,7 +60,7 @@ from .exact_linalg import (
     parse_matrix,
 )
 from .nstep_seq import CLASSIC, PAPER_POWERS, sweep, term, term_fast, terms_range
-from .construction import check_prop1, check_prop1_all
+from .construction import Prop1Cell, Prop1Record, check_prop1
 from .identities import (
     FAMILIES,
     GEN_DOCAGNE,
@@ -303,6 +308,17 @@ def _record_dict(case: dict, lhs: int, rhs: int) -> dict:
     return {"case": case, "lhs": str(lhs), "rhs": str(rhs), "pass": lhs == rhs}
 
 
+# The line function of each format, which writes one record dict; a JSON
+# record is written by canonical_json's dict writer at the records' depth.
+_LINES = {"json": _WRITERS[2][dict], "csv": _csv_line, "table": _table_line}
+
+
+def _record_lines(fmt: str, records: Iterator[dict]) -> Iterator[tuple[str, bool]]:
+    """Each record's line in format ``fmt``, with its verdict."""
+    line = _LINES[fmt]
+    return ((line(rec), rec["pass"]) for rec in records)
+
+
 def _report_head(args: argparse.Namespace) -> dict:
     """A report's version, command and params: the subcommand's flags as
     parsed, in the order ``build_parser`` declares them."""
@@ -317,32 +333,32 @@ def _json_start(args: argparse.Namespace, key: str) -> str:
     return canonical_json(_report_head(args))[:-3] + f',\n  "{key}": [\n    '
 
 
-def _finish(args: argparse.Namespace, count: int, records: Iterator[dict],
+def _finish(args: argparse.Namespace, count: int, lines: Iterator[tuple[str, bool]],
             timings: dict, started: float) -> int:
-    """Write the report of ``records``, ``count`` of them as planned before
-    any work, ``_BLOCK`` at a time, then its summary and ``timings``, and
-    return the exit code. ``--out`` is opened before the first record is
-    made; a fault while making one leaves the blocks written before it."""
+    """Write the report whose records ``lines`` yields as (text in
+    ``args.format``, verdict) pairs, ``count`` of them as planned before any
+    work, ``_BLOCK`` at a time, then its summary and ``timings``, and return
+    the exit code. ``--out`` is opened before the first record is made; a
+    fault while making one leaves the blocks written before it."""
     if not count:
         raise UsageError("the sweep produced no records, so nothing was checked")
     if args.format == "json":
-        # Each record is written by canonical_json's depth-2 dict writer;
-        # the tail's text without its opening "{" closes the report.
-        layout = _WRITERS[2][dict], _json_start(args, "records"), ",\n    ", "\n  ],"
+        # The tail's text without its opening "{" closes the report.
+        layout = _json_start(args, "records"), ",\n    ", "\n  ],"
     elif args.format == "csv":
-        layout = _csv_line, ",".join(_CSV_FIELDS) + "\n", "\n", "\n"
+        layout = ",".join(_CSV_FIELDS) + "\n", "\n", "\n"
     else:
-        layout = _table_line, "", "\n", "\n"
+        layout = "", "\n", "\n"
     summary = {"total": 0, "passed": 0, "failed": 0}
 
-    def blocks() -> Iterator[list[dict]]:
-        for block in iter(lambda: list(itertools.islice(records, _BLOCK)), []):
+    def blocks() -> Iterator[list[tuple[str, bool]]]:
+        for block in iter(lambda: list(itertools.islice(lines, _BLOCK)), []):
             summary["total"] += len(block)
-            summary["passed"] += sum(rec["pass"] for rec in block)
+            summary["passed"] += sum(passed for _, passed in block)
             yield block
 
     with _output(args.out) as fh:
-        fh.writelines(_joined_chunks(blocks(), *layout))
+        fh.writelines(_joined_chunks(blocks(), itemgetter(0), *layout))
         summary["failed"] = summary["total"] - summary["passed"]
         timings["total"] = (time.perf_counter() - started) * 1000.0
         counts = " ".join(f"{key}={value}" for key, value in summary.items())
@@ -478,12 +494,59 @@ def cmd_verify(args: argparse.Namespace) -> int:
     plans = [_plan_sweep(kind, args, conventions, rng, base_matrix) for kind in kinds]
     count = sum(size for size, _ in plans)
     _check_cap(count, "records", "the ranges or --trials")
-    return _finish(args, count, (rec for _, sweep in plans for rec in sweep()), {},
-                   started)
+    records = (rec for _, sweep in plans for rec in sweep())
+    return _finish(args, count, _record_lines(args.format, records), {}, started)
 
 
 # --------------------------------------------------------------------------
 # prop1
+
+
+# Stands for each value that changes between the records of a prop1 cell,
+# in one record's text as its format's line function writes it; no record
+# holds it.
+_HOLE = "\x00"
+
+# Per format: the text of a _HOLE in a line, and how a line spells a
+# record's deleted columns and each side. JSON writes the deleted list with
+# the list writer of its depth (records, a record, its case, the list), and
+# a side's digits need no escape, only quotes.
+_PROP1_SPELLING = {
+    "json": (encode_basestring_ascii(_HOLE), _WRITERS[4][list], lambda v: f'"{v}"'),
+    "csv": (_HOLE, lambda deleted: " ".join(map(str, deleted)), str),
+    "table": (_HOLE, str, lambda v: _elide(str(v))),
+}
+
+
+def _prop1_lines(fmt: str, cell: Prop1Cell,
+                 batches: Iterator[tuple[int, list[Prop1Record]]]
+                 ) -> Iterator[tuple[str, bool]]:
+    """The line in format ``fmt`` and the verdict of each record of
+    ``batches``, (trial, records) pairs of ``cell``: the text that
+    ``_LINES[fmt]`` writes for the record's ``_record_dict``.
+
+    Only the trial, the two sides and the verdict change between a cell's
+    records, and the deleted columns between its deletions. So the line
+    function writes one record of the cell, with a ``_HOLE`` for each of
+    those values, once per verdict; the text around the deleted columns is
+    made once per deletion, and each record is one f-string.
+    """
+    hole, spell_deleted, spell_side = _PROP1_SPELLING[fmt]
+    case = {"kind": "prop1", "n": cell.n, "r": cell.r, "trial": _HOLE, "deleted": _HOLE}
+    pieces = {passed: _LINES[fmt](
+        {"case": case, "lhs": _HOLE, "rhs": _HOLE, "pass": passed}).split(hole)
+        for passed in (True, False)}
+    head, before_deleted, before_lhs, before_rhs, _ = pieces[True]
+    tails = {passed: text[-1] for passed, text in pieces.items()}
+    deleted_texts = [f"{before_deleted}{spell_deleted(list(deleted))}{before_lhs}"
+                     for deleted in cell.deletions]
+    for trial, batch in batches:
+        start = f"{head}{trial}"
+        for rec, deleted_text in zip(batch, deleted_texts):
+            lhs, rhs = rec.minor_value, rec.rhs
+            passed = lhs == rhs
+            yield (f"{start}{deleted_text}{spell_side(lhs)}{before_rhs}"
+                   f"{spell_side(rhs)}{tails[passed]}", passed)
 
 
 def cmd_prop1(args: argparse.Namespace) -> int:
@@ -509,26 +572,29 @@ def cmd_prop1(args: argparse.Namespace) -> int:
             _check_cap(due, "records", "--n, --r or --trials")
     rng = Random(args.seed)
 
-    def records() -> Iterator[dict]:
-        for n, r in itertools.product(n_values, r_values):
-            mats = [base_matrix] if base_matrix is not None else [
-                random_matrix(rng, n, args.bound) for _ in range(trials)]
-            for trial, (a, batch) in enumerate(
-                    zip(mats, check_prop1_all(mats, r)), start=1):
-                # Recheck one deletion per matrix on the per-deletion
-                # reference path, cycling through the deletions by trial,
-                # before any of the matrix's records is written.
-                expected = batch[(trial - 1) % len(batch)]
-                if check_prop1(a, r, expected.deleted) != expected:
-                    raise ArithmeticError(
-                        f"batch and per-deletion prop1 disagree for n={n},"
-                        f" r={r}, trial={trial}, deleted={list(expected.deleted)}")
-                for rec in batch:
-                    case = {"kind": "prop1", "n": n, "r": r, "trial": trial,
-                            "deleted": list(rec.deleted)}
-                    yield _record_dict(case, rec.minor_value, rec.rhs)
+    def batches(cell: Prop1Cell) -> Iterator[tuple[int, list[Prop1Record]]]:
+        """Each trial of ``cell`` and its matrix's records, the matrix drawn
+        just before it is checked."""
+        for trial in range(1, trials + 1):
+            a = base_matrix if base_matrix is not None else random_matrix(
+                rng, cell.n, args.bound)
+            batch = cell(a)
+            # Recheck one deletion per matrix on the per-deletion reference
+            # path, cycling through the deletions by trial, before any of
+            # the matrix's records is written.
+            expected = batch[(trial - 1) % len(batch)]
+            if check_prop1(a, cell.r, expected.deleted) != expected:
+                raise ArithmeticError(
+                    f"batch and per-deletion prop1 disagree for n={cell.n},"
+                    f" r={cell.r}, trial={trial}, deleted={list(expected.deleted)}")
+            yield trial, batch
 
-    return _finish(args, due, records(), {}, started)
+    def lines() -> Iterator[tuple[str, bool]]:
+        for n, r in itertools.product(n_values, r_values):
+            cell = Prop1Cell(n, r)
+            yield from _prop1_lines(args.format, cell, batches(cell))
+
+    return _finish(args, due, lines(), {}, started)
 
 
 # --------------------------------------------------------------------------
@@ -584,7 +650,7 @@ def cmd_bench(args: argparse.Namespace) -> int:
                         "trial": trial}
                 yield _record_dict(case, db, dl)
 
-    return _finish(args, count, records(), timings, started)
+    return _finish(args, count, _record_lines(args.format, records()), timings, started)
 
 
 # --------------------------------------------------------------------------

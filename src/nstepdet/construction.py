@@ -1,6 +1,6 @@
 """Banded sign matrix, recursive column extensions, and signed minors.
 
-Three builders and two checkers make up the machinery:
+Three builders and three checkers make up the machinery:
 
 * ``build_P``           -- the (n+r-1) x r banded matrix whose column j holds
                            ones in rows j..j+n-1 and a single -1 in row j+n.
@@ -16,14 +16,16 @@ Three builders and two checkers make up the machinery:
                            determinant equals a sign, times the determinant
                            of the band submatrix in the deleted rows, times
                            the determinant of the original matrix.
-* ``check_prop1_all``   -- the same rule for every deletion and a batch of
-                           matrices of one order, validated once at the
-                           call: its deletions come from ``combinations``.
-                           It gives one matrix's records at a time. Per-
-                           matrix work (the extension, det of the matrix)
-                           is done once per matrix, and P and each
-                           deletion's kept columns, sign and band
-                           determinant once per batch. All minors of one
+* ``Prop1Cell``         -- the same rule for every deletion, one order n
+                           and one r: P and each deletion's kept columns,
+                           sign and band determinant are made once, when
+                           the cell is, and calling the cell on a matrix
+                           gives that matrix's records, its extension and
+                           determinant taken once.
+* ``check_prop1_all``   -- one cell's records for a batch of matrices of
+                           one order, validated once at the call: its
+                           deletions come from ``combinations``. It gives
+                           one matrix's records at a time. All minors of one
                            extension come from one fraction-free walk over
                            kept-column prefixes (``_kept_minor_dets``). Each
                            minor's elimination takes the last column, which
@@ -75,6 +77,7 @@ __all__ = [
     "sign_from_kept",
     "check_prop1",
     "check_prop1_all",
+    "Prop1Cell",
     "q_fib_det",
 ]
 
@@ -215,6 +218,48 @@ def check_prop1(a: IntMatrix, r: int, deleted: Iterable[int]) -> Prop1Record:
     return Prop1Record(n, r, deleted, minor_value, sign, det_q, det_a)
 
 
+class Prop1Cell:
+    """The part of the product rule for one order n and extension length r
+    that does not depend on the matrix: every deletion, in ``combinations``
+    order, with its kept columns, its sign (cross-checked) and its det Q,
+    all made when the cell is. Calling the cell on an n x n matrix ``a``
+    gives ``[check_prop1(a, r, d) for d in cell.deletions]``: ``a`` is
+    extended and its determinant taken once, and every minor of the
+    extension comes from one ``_kept_minor_dets`` walk. So a caller can make
+    each matrix just before it is checked.
+    """
+
+    __slots__ = ("n", "r", "deletions", "_parts")
+
+    def __init__(self, n: int, r: int):
+        check_at_least(2, n=n)
+        check_at_least(1, r=r)
+        # The walk's rows are P's columns, each followed by a 0, then
+        # e_(n+r). Its minor that keeps columns d and the last is
+        # [[Q^T, 0], [0, 1]] for Q = P's rows d, so its determinant is det Q.
+        p = build_P(n, r)
+        det_qs = _kept_minor_dets([[*p.column(j), 0] for j in range(1, r + 1)]
+                                  + [[0] * (n + r - 1) + [1]])
+        self.n, self.r = n, r
+        self.deletions = tuple(combinations(range(1, n + r), r))
+        # (deleted, kept columns but the last, sign, det Q) per deletion.
+        self._parts = []
+        for deleted in self.deletions:
+            kept = _kept(n, r, deleted)
+            self._parts.append(
+                (deleted, kept, _checked_sign(n, r, deleted, kept), det_qs[deleted]))
+
+    def __call__(self, a: IntMatrix) -> list[Prop1Record]:
+        n, r = self.n, self.r
+        if check_square("Prop1Cell", a) != n:
+            raise DimensionError(
+                f"this cell needs an order-{n} matrix, got {a.rows}x{a.cols}")
+        dets = _kept_minor_dets(extend_columns(a, r).to_rows())
+        det_a = det_bareiss(a)
+        return [Prop1Record(n, r, deleted, dets[kept], sign, det_q, det_a)
+                for deleted, kept, sign, det_q in self._parts]
+
+
 def check_prop1_all(mats: Iterable[IntMatrix], r: int) -> Iterator[list[Prop1Record]]:
     """``check_prop1`` for every deletion, for each of a batch of matrices.
 
@@ -226,37 +271,19 @@ def check_prop1_all(mats: Iterable[IntMatrix], r: int) -> Iterator[list[Prop1Rec
     Work that does not depend on the deletion is done once: each matrix is
     extended and its determinant taken once, and P, the kept columns, the
     signs (cross-checked) and every det Q once for the whole batch, at the
-    call (det Q does not depend on the matrix). Every minor of one extension,
-    and every det Q, is evaluated by fraction-free elimination of its own
-    columns, shared between minors only where their kept columns agree
-    (``_kept_minor_dets``: one walk per extension, and one per batch over
-    P's transpose bordered by a zero column and a last row e_(n+r)), never
-    derived from the rule it checks. ``det_bareiss`` takes only det(a).
+    call, by one ``Prop1Cell`` (det Q does not depend on the matrix). Every
+    minor of one extension, and every det Q, is evaluated by fraction-free
+    elimination of its own columns, shared between minors only where their
+    kept columns agree (``_kept_minor_dets``: one walk per extension, and
+    one per batch over P's transpose bordered by a zero column and a last
+    row e_(n+r)), never derived from the rule it checks. ``det_bareiss``
+    takes only det(a).
     """
     check_at_least(1, r=r)
     mats = list(mats)
     if not mats:
         return iter(())
-    n = check_square("check_prop1_all", *mats)
-    # The walk's rows are P's columns, each followed by a 0, then e_(n+r).
-    # Its minor that keeps columns d and the last is [[Q^T, 0], [0, 1]] for
-    # Q = P's rows d, so its determinant is det Q.
-    p = build_P(n, r)
-    det_qs = _kept_minor_dets([[*p.column(j), 0] for j in range(1, r + 1)]
-                              + [[0] * (n + r - 1) + [1]])
-    # (deleted, kept columns but the last, sign, det Q) per deletion.
-    cell = []
-    for deleted in combinations(range(1, n + r), r):
-        kept = _kept(n, r, deleted)
-        cell.append((deleted, kept, _checked_sign(n, r, deleted, kept), det_qs[deleted]))
-
-    def records(a: IntMatrix) -> list[Prop1Record]:
-        dets = _kept_minor_dets(extend_columns(a, r).to_rows())
-        det_a = det_bareiss(a)
-        return [Prop1Record(n, r, deleted, dets[kept], sign, det_q, det_a)
-                for deleted, kept, sign, det_q in cell]
-
-    return map(records, mats)
+    return map(Prop1Cell(check_square("check_prop1_all", *mats), r), mats)
 
 
 def _kept_minor_dets(ext_rows: list[list[int]]) -> dict[tuple[int, ...], int]:

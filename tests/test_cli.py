@@ -9,6 +9,7 @@ import subprocess
 import sys
 import time
 from pathlib import Path
+from random import Random
 from unittest import mock
 
 import pytest
@@ -21,12 +22,19 @@ from nstepdet.cli import (
     EXIT_USAGE,
     _CSV_FIELDS,
     _BLOCK,
+    _WRITERS,
     _comb_past,
+    _csv_line,
+    _prop1_lines,
+    _record_dict,
+    _table_line,
     canonical_json,
     main,
     parse_range,
     parse_sizes,
+    random_matrix,
 )
+from nstepdet.construction import Prop1Cell, check_prop1_all
 from nstepdet.nstep_seq import CLASSIC, PAPER_POWERS, sweep, term, terms_range
 
 
@@ -464,7 +472,7 @@ class TestProp1:
             raise AssertionError("the grid check must come before any work")
 
         monkeypatch.setattr("nstepdet.cli.random_matrix", no_work)
-        monkeypatch.setattr("nstepdet.cli.check_prop1_all", no_work)
+        monkeypatch.setattr("nstepdet.cli.Prop1Cell", no_work)
         # A billion-value --r must be rejected without listing its values,
         # and a huge single cell without counting its records exactly.
         for n, r in (("5..10", "1..40"), ("3", "1..1000000000"),
@@ -480,7 +488,7 @@ class TestProp1:
         def no_work(*args):
             raise AssertionError("the cap must count a --matrix run's records")
 
-        monkeypatch.setattr("nstepdet.cli.check_prop1_all", no_work)
+        monkeypatch.setattr("nstepdet.cli.Prop1Cell", no_work)
         # One 3x3 matrix over r 1..200: sum of C(r+2, 2) = 1,373,700 records.
         code, out, err = run(capsys, "prop1", "--matrix", "1 0 0; 0 1 0; 0 0 1",
                              "--r", "1..200")
@@ -526,6 +534,139 @@ class TestProp1:
         assert code == EXIT_USAGE
         assert out == ""
         assert err == "error: empty row in matrix literal ''\n"
+
+    def test_each_matrix_is_drawn_just_before_it_is_checked(self, capsys, monkeypatch):
+        # A cell's matrices are never held together: each is drawn, then
+        # checked, before the next is drawn.
+        events = []
+
+        def draw(*args):
+            events.append("draw")
+            return random_matrix(*args)
+
+        class Cell(Prop1Cell):
+            def __call__(self, a):
+                events.append("check")
+                return super().__call__(a)
+
+        monkeypatch.setattr("nstepdet.cli.random_matrix", draw)
+        monkeypatch.setattr("nstepdet.cli.Prop1Cell", Cell)
+        code, _, _ = run(capsys, "prop1", "--n", "2..3", "--r", "1..2", "--trials", "3")
+        assert code == EXIT_OK
+        assert events == ["draw", "check"] * 12
+
+
+# The line function of each format, which the verify and bench records use.
+GENERIC_LINES = {"json": _WRITERS[2][dict], "csv": _csv_line, "table": _table_line}
+
+
+def generic_prop1_lines(fmt, n, r, batches):
+    """The line and verdict of each record of ``batches``, (trial, records)
+    pairs of one cell, by ``_record_dict`` and the format's line function."""
+    for trial, batch in batches:
+        for rec in batch:
+            case = {"kind": "prop1", "n": n, "r": r, "trial": trial,
+                    "deleted": list(rec.deleted)}
+            record = _record_dict(case, rec.minor_value, rec.rhs)
+            yield GENERIC_LINES[fmt](record), record["pass"]
+
+
+def report_records(fmt, out):
+    """The text of a report's records, and the text between two of them."""
+    if fmt == "json":
+        return out.split('"records": [\n    ', 1)[1].split("\n  ],\n", 1)[0], ",\n    "
+    if fmt == "csv":
+        return out.split("\n", 1)[1][:-1], "\n"
+    return out[:out.rindex("\nsummary: ")], "\n"
+
+
+def skew_last(batch):
+    """``batch`` with its last record's minor off by one, so it fails."""
+    return batch[:-1] + [batch[-1]._replace(minor_value=batch[-1].minor_value + 1)]
+
+
+class TestProp1Lines:
+    """prop1 writes each record from text made once per cell; every line
+    must be the one the format's line function writes for the record's
+    ``_record_dict``."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(data=st.data(), n=st.integers(2, 6), r=st.integers(1, 6),
+           bound=st.sampled_from((0, 9, 10**15)), trials=st.integers(1, 3),
+           skewed=st.booleans())
+    def test_cell_lines_equal_the_line_functions(self, data, n, r, bound, trials,
+                                                 skewed):
+        # Entries up to 10**15 make sides long enough for the table to elide.
+        cell = Prop1Cell(n, r)
+        rng = Random(data.draw(st.integers(0, 10**6)))
+        batches = [(trial, cell(random_matrix(rng, n, bound)))
+                   for trial in range(1, trials + 1)]
+        if skewed:
+            batches = [(trial, skew_last(batch)) for trial, batch in batches]
+        for fmt in GENERIC_LINES:
+            lines = list(_prop1_lines(fmt, cell, iter(batches)))
+            assert lines == list(generic_prop1_lines(fmt, n, r, batches)), fmt
+            assert [passed for _, passed in lines].count(False) == skewed * trials
+
+    # A cell of 25 trials x C(8, 6) = 28 records crosses a block boundary;
+    # a --matrix run takes several cells of one matrix.
+    @pytest.mark.parametrize("argv", [
+        "prop1 --n 3 --r 6 --trials 25 --seed 4",
+        "prop1 --n 2..3 --r 1..3 --trials 2 --bound 10000000000000 --seed 8",
+        "prop1 --matrix 2_-1_0;_1_3_1;_0_4_-2 --r 1..3",
+    ])
+    @pytest.mark.parametrize("fmt", list(GENERIC_LINES))
+    def test_report_lines_equal_the_line_functions(self, capsys, argv, fmt):
+        argv = [a.replace("_", " ") for a in argv.split()]
+        code, out, _ = run(capsys, *argv, "--format", fmt)
+        assert code == EXIT_OK
+        args = build_args(argv)
+        records, sep = report_records(fmt, out)
+        assert records == sep.join(text for text, _ in self.expected(fmt, args))
+
+    @pytest.mark.parametrize("fmt", list(GENERIC_LINES))
+    def test_failing_records(self, capsys, monkeypatch, fmt):
+        # A minor that the per-matrix recheck does not see (it takes the
+        # first deletions at trials 1 and 2) fails its record: "pass": false
+        # in JSON and CSV, FAIL in a table.
+        class Skewed(Prop1Cell):
+            def __call__(self, a):
+                return skew_last(super().__call__(a))
+
+        monkeypatch.setattr("nstepdet.cli.Prop1Cell", Skewed)
+        argv = ["prop1", "--n", "2..3", "--r", "2..3", "--trials", "2", "--seed", "3"]
+        code, out, _ = run(capsys, *argv, "--format", fmt)
+        assert code == EXIT_FAIL
+        expected = list(self.expected(fmt, build_args(argv), skew_last))
+        records, sep = report_records(fmt, out)
+        assert records == sep.join(text for text, _ in expected)
+        assert [passed for _, passed in expected].count(False) == 8
+        failed = {"json": '"pass": false', "csv": ",false", "table": "  FAIL"}[fmt]
+        assert out.count(failed) == 8
+
+    @staticmethod
+    def expected(fmt, args, skew=lambda batch: batch):
+        """The (line, verdict) of each record of a prop1 run, its matrices
+        drawn anew and checked by ``check_prop1_all``, a cell at a time."""
+        rng = Random(args.seed)
+        if args.matrix is not None:
+            base = nstepdet.parse_matrix(args.matrix)
+            cells = [(base.rows, r, [base]) for r in parse_range(args.r)]
+        else:
+            cells = [(n, r, [random_matrix(rng, n, args.bound) for _ in range(args.trials)])
+                     for n in parse_range(args.n) for r in parse_range(args.r)]
+        for n, r, mats in cells:
+            batches = enumerate(map(skew, check_prop1_all(mats, r)), start=1)
+            yield from generic_prop1_lines(fmt, n, r, batches)
+
+
+def build_args(argv):
+    """The parsed flags of a prop1 run, its defaults filled in."""
+    args = nstepdet.cli.build_parser().parse_args(argv)
+    for name, value in nstepdet.cli._PROP1_DEFAULTS.items():
+        if getattr(args, name) is None:
+            setattr(args, name, value)
+    return args
 
 
 class TestBench:
@@ -657,7 +798,7 @@ class TestUnusedFlags:
             raise AssertionError("the flag check must come before any work")
 
         for name in ("family_records", "generalized_docagne", "random_matrix",
-                     "check_prop1_all", "term", "term_fast", "det_bareiss"):
+                     "Prop1Cell", "term", "term_fast", "det_bareiss"):
             monkeypatch.setattr(f"nstepdet.cli.{name}", no_work)
         code, out, err = run(capsys, *[a.replace("_", " ") for a in argv.split()])
         assert code == EXIT_USAGE
@@ -719,7 +860,7 @@ class TestReportShape:
         def no_work(*args):
             raise AssertionError("an unwritable --out must fail before any work")
 
-        for name in ("sweep", "family_records", "random_matrix", "check_prop1_all",
+        for name in ("sweep", "family_records", "random_matrix", "Prop1Cell",
                      "term", "term_fast"):
             monkeypatch.setattr(f"nstepdet.cli.{name}", no_work)
         target = {"directory": tmp_path, "missing parent": tmp_path / "missing" / "x.txt",

@@ -467,6 +467,16 @@ class TestCheckProp1All:
             assert rec.det_q == 2**2 * true_det_q[rec.deleted]
             assert not rec.passed
 
+    @pytest.mark.parametrize("n, r", [(2, 1), (3, 4), (5, 2)])
+    def test_cell_is_the_batch_of_one_matrix(self, n, r):
+        # A cell made once checks any number of matrices, each on its own
+        # call, in the order of its deletions.
+        cell = construction.Prop1Cell(n, r)
+        assert cell.deletions == tuple(combinations(range(1, n + r), r))
+        rng = random.Random(n * 10 + r)
+        for a in [random_matrix(rng, n, 9) for _ in range(3)]:
+            assert cell(a) == [check_prop1(a, r, d) for d in cell.deletions]
+
     def test_empty_batch(self):
         assert list(check_prop1_all([], 2)) == []
 
@@ -475,6 +485,10 @@ class TestCheckProp1All:
             check_prop1_all([IntMatrix.identity(2), IntMatrix.identity(3)], 1)
         with pytest.raises(DimensionError):
             check_prop1_all([M([[1, 2, 3], [4, 5, 6]])], 1)
+        cell = construction.Prop1Cell(2, 1)
+        for a in (M([[1, 2, 3], [4, 5, 6]]), IntMatrix.identity(3)):
+            with pytest.raises(DimensionError):
+                cell(a)
 
     def test_bad_extension_length_rejected(self):
         with pytest.raises(ValueError):

@@ -10,6 +10,7 @@ from pathlib import Path
 import pytest
 
 from nstepdet.construction import (
+    Prop1Cell,
     build_P,
     build_Q,
     check_prop1,
@@ -95,9 +96,11 @@ def test_good_index_list_accepted(call, expected):
     (lambda: minor_selection(2, 1, [1.0]), "^deleted column indices must be ints"),
     (lambda: terms_range(2.5, CLASSIC, 1, 3), "^parameter n must be an int, got 2.5$"),
     (lambda: terms_range(True, CLASSIC, -3, 3), "^parameter n must be an int, got True$"),
+    (lambda: Prop1Cell(2, True), "^parameter r must be an int, got True$"),
+    (lambda: Prop1Cell(2.0, 1), "^parameter n must be an int, got 2.0$"),
 ], ids=["build-P-bool", "build-P-float", "cassini-bool", "cassini-float",
         "prop1-bool", "selection-bool", "selection-float", "terms-range-float",
-        "terms-range-bool"])
+        "terms-range-bool", "cell-bool", "cell-float"])
 def test_bool_or_float_is_not_an_int(call, error):
     with pytest.raises(ValueError, match=error):
         call()

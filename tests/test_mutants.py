@@ -97,6 +97,15 @@ def test_unused_flag_mutants_are_catalogued():
             "bench-det-reads-term-flags"} <= names
 
 
+def test_prop1_line_mutants_are_catalogued():
+    # prop1 writes each record from text made once per cell: a trial stuck
+    # at 1, a deletion's text taken from its neighbour, an inverted verdict
+    # and CSV deleted columns not joined on spaces must fail.
+    names = {m[0] for m in mutants.MUTANTS}
+    assert {"prop1-line-trial-stuck-at-one", "prop1-line-neighbouring-deletion",
+            "prop1-line-verdict-inverted", "prop1-csv-deleted-join-dropped"} <= names
+
+
 @pytest.mark.parametrize("name, path, old, new", mutants.MUTANTS,
                          ids=[m[0] for m in mutants.MUTANTS])
 def test_old_text_occurs_once_in_src(name, path, old, new):

@@ -157,6 +157,18 @@ MUTANTS = (
     ("bench-det-reads-term-flags", "src/nstepdet/cli.py",
      'else {"order", "trials", "bound", "seed"})',
      'else {"order", "trials", "bound", "seed", "n", "k", "convention"})'),
+    ("prop1-line-trial-stuck-at-one", "src/nstepdet/cli.py",
+     'start = f"{head}{trial}"',
+     'start = f"{head}1"'),
+    ("prop1-line-neighbouring-deletion", "src/nstepdet/cli.py",
+     "zip(batch, deleted_texts)",
+     "zip(batch, deleted_texts[1:] + deleted_texts[:1])"),
+    ("prop1-line-verdict-inverted", "src/nstepdet/cli.py",
+     "{tails[passed]}",
+     "{tails[not passed]}"),
+    ("prop1-csv-deleted-join-dropped", "src/nstepdet/cli.py",
+     'lambda deleted: " ".join(map(str, deleted))',
+     "str"),
 )
 
 _SKIP = shutil.ignore_patterns(
