@@ -16,18 +16,19 @@ at its default, in the order ``build_parser`` declares them, without
 ``--format`` and ``--out``. A flag given explicitly that the run does not
 read is a usage error.
 
-Every JSON report's text is always that of ``json.dumps(obj, indent=2)``;
-no report goes through ``json.dumps`` itself. Every report is written while
-it is made, ``_BLOCK`` records (or ``seq`` terms) at a time, by one block
-joiner, so a run's memory does not grow with its records or its window. A
-JSON report's head, and the summary and timings that close it, come from
-``canonical_json``, a writer keyed on each value's type; a ``verify`` or
-``bench`` record's text comes from the same writer's tables, and ``seq``'s
-terms array from the terms' own text. A table or CSV report has one line
-function per format. ``prop1`` records of one (n, r) cell differ only in
-their trial, deleted columns, sides and verdict, so the format's line
-function writes one record of the cell with a hole for each, and every
-record fills the holes with one f-string.
+Every JSON report's text is that of ``json.dumps(obj, indent=2)``. Every
+report is written while it is made, ``_BLOCK`` records (or ``seq`` terms) at
+a time, by one block joiner, so a run's memory does not grow with its
+records or its window. A JSON report's head, and the summary and timings
+that close it, come from ``canonical_json``, and ``seq``'s terms array from
+the terms' own text. Each format has one line function, which writes a
+record dict. ``json.dumps(indent=2)`` runs the pure-Python encoder, too
+slow to call once per record, so it runs once per record shape instead: a
+shape is a case's keys, its str values and the verdict, and records of one
+shape differ only in their ints and their sides. ``_template`` has the
+line function write one record of a shape with a hole for each of those,
+and every ``verify``, ``bench`` and ``prop1`` record is one fill of the
+pieces between the holes.
 Every usage error, an unwritable ``--out`` and a sweep with no records among
 them, comes before any work and the first byte; a fault in a later block,
 a failing prop1 recheck among them, propagates and leaves a report without
@@ -40,11 +41,11 @@ import argparse
 import decimal
 import io
 import itertools
+import json
 import sys
 import time
 from collections.abc import Callable, Iterator
 from contextlib import AbstractContextManager, nullcontext
-from json.encoder import encode_basestring_ascii
 from math import prod
 from operator import itemgetter
 from random import Random
@@ -166,106 +167,30 @@ def random_matrix(rng: Random, order: int, bound: int) -> IntMatrix:
         [[rng.randint(-bound, bound) for _ in range(order)] for _ in range(order)])
 
 
-# JSON text of each scalar type, by exact type, as ``json.dumps`` spells it
-# (a finite float's repr holds no "inf" or "nan").
-_SCALAR_JSON = {
-    str: encode_basestring_ascii,
-    int: int.__repr__,
-    float: lambda value: repr(value).replace("inf", "Infinity").replace("nan", "NaN"),
-    bool: {False: "false", True: "true"}.__getitem__,
-    type(None): {None: "null"}.__getitem__,
-}
-
-
-class _KeyPrefixes(dict):
-    """Start of each key's line at one indentation, made on first use; a
-    non-str key raises TypeError."""
-
-    def __init__(self, pad: str):
-        super().__init__()
-        self.pad = pad
-
-    def __missing__(self, key: str) -> str:
-        prefix = self[key] = self.pad + encode_basestring_ascii(key) + ": "
-        return prefix
-
-
-def _container_writers(depth: int, end: str = "") -> dict:
-    """Writers of a list and of a dict at indentation ``depth``, laid out as
-    ``json.dumps(indent=2)`` does and followed by ``end``. Each text is made
-    by one join over its items' texts, never by wrapping joined text, so a
-    large report is not copied again at each level."""
-    pad = "\n" + "  " * depth
-    inner = pad + "  "
-    sep, list_open = "," + inner, "[" + inner
-    list_close, dict_close = pad + "]" + end, pad + "}" + end
-    prefixes = _KeyPrefixes(inner)
-
-    def write_list(items: list) -> str:
-        if not items:
-            return "[]" + end
-        writers = _WRITERS[depth + 1]
-        parts = [writers[type(v)](v) for v in items]
-        parts[0] = list_open + parts[0]
-        parts[-1] += list_close
-        return sep.join(parts)
-
-    def write_dict(obj: dict) -> str:
-        if not obj:
-            return "{}" + end
-        writers = _WRITERS[depth + 1]
-        parts = ["{"]
-        for key, value in obj.items():
-            parts += (prefixes[key], writers[type(value)](value), ",")
-        parts[-1] = dict_close
-        return "".join(parts)
-
-    return {list: write_list, dict: write_dict}
-
-
-class _Writers(dict):
-    """Writer of each JSON value type, by exact type, for the values at one
-    indentation depth; each depth's table is made on first use."""
-
-    def __missing__(self, depth: int) -> dict:
-        table = self[depth] = {**_SCALAR_JSON, **_container_writers(depth)}
-        return table
-
-
-# Depth 0 holds only the document, an object or an array, whose text also
-# ends with the document's newline. The tables are shared by all documents:
-# building them per document cost tens of microseconds per report.
-_WRITERS = _Writers({0: _container_writers(0, "\n")})
-
-
 def canonical_json(obj) -> str:
     """The text of ``json.dumps(obj, indent=2)`` plus a newline, so
-    re-serializing a parsed report reproduces it byte for byte: the whole
-    text of every report but ``seq``'s, and the head of ``seq``'s.
-
-    ``json.dumps(indent=2)`` runs the pure-Python encoder, slow on the
-    thousands of small records of a report, so the text is written here by
-    one writer per value type. ``obj`` is a dict or a list; the values in it
-    are dicts with str keys, lists, str, int, float, bool and None, by exact
-    type. Anything else (a tuple, a non-str key, a str or int subclass, a
-    Decimal) raises TypeError.
-    """
-    try:
-        return _WRITERS[0][type(obj)](obj)
-    except KeyError as exc:  # a value of a type no writer takes
-        raise TypeError(f"{exc.args[0].__name__} is not JSON serializable") from None
+    re-serializing a parsed report reproduces it byte for byte: the head and
+    the tail of every JSON report."""
+    return json.dumps(obj, indent=2) + "\n"
 
 
 def _elide(value: str) -> str:
+    """A side's decimal text, or, past 24 characters, its first 12 and its
+    digit count, which leaves out a minus sign."""
     if len(value) <= 24:
         return value
-    return f"{value[:12]}...({len(value)} digits)"
+    return f"{value[:12]}...({len(value.lstrip('-'))} digits)"
 
 
 def _table_line(rec: dict) -> str:
-    case = " ".join(f"{key}={value}" for key, value in rec["case"].items())
+    case = dict(rec["case"])
+    if "deleted" in case:
+        # Spelled as str spells a list of ints, but from each item's str,
+        # which keeps a template's holes where the list's repr would not.
+        case["deleted"] = f"[{', '.join(map(str, case['deleted']))}]"
+    text = " ".join(f"{key}={value}" for key, value in case.items())
     verdict = "pass" if rec["pass"] else "FAIL"
-    return f"{case}  lhs={_elide(rec['lhs'])}  rhs={_elide(rec['rhs'])}  {verdict}"
+    return f"{text}  lhs={_elide(rec['lhs'])}  rhs={_elide(rec['rhs'])}  {verdict}"
 
 
 _CSV_FIELDS = ["kind", "task", "n", "r", "s", "p", "q", "k", "order", "trial",
@@ -280,6 +205,11 @@ def _csv_line(rec: dict) -> str:
     if "deleted" in row:
         row["deleted"] = " ".join(map(str, row["deleted"]))
     return ",".join([str(row.get(field, "")) for field in _CSV_FIELDS])
+
+
+def _json_line(rec: dict) -> str:
+    """A record's JSON text where a report holds it, two levels in."""
+    return json.dumps(rec, indent=2).replace("\n", "\n    ")
 
 
 def _output(out: str | None) -> AbstractContextManager[io.TextIOBase]:
@@ -304,19 +234,69 @@ def _joined_chunks(blocks: Iterator[list], text: Callable, start: str, sep: str,
     yield end
 
 
-def _record_dict(case: dict, lhs: int, rhs: int) -> dict:
-    return {"case": case, "lhs": str(lhs), "rhs": str(rhs), "pass": lhs == rhs}
+def _record_dict(case: dict, lhs, rhs, passed: bool) -> dict:
+    return {"case": case, "lhs": str(lhs), "rhs": str(rhs), "pass": passed}
 
 
-# The line function of each format, which writes one record dict; a JSON
-# record is written by canonical_json's dict writer at the records' depth.
-_LINES = {"json": _WRITERS[2][dict], "csv": _csv_line, "table": _table_line}
+# The line function of each format, which writes one record dict. It runs
+# once per record shape, on a template, never once per record.
+_LINES = {"json": _json_line, "csv": _csv_line, "table": _table_line}
+
+# Stands for each value that changes between the records of one shape, in
+# the record dict a template is written from; no record holds it.
+_HOLE = "\x00"
+
+# Per format: the text of a _HOLE in a line, and the spelling of a side. A
+# side's digits need no JSON escape, only quotes; a table elides long ones.
+_SPELLING = {
+    "json": (json.dumps(_HOLE), lambda v: f'"{v}"'),
+    "csv": (_HOLE, str),
+    "table": (_HOLE, lambda v: _elide(str(v))),
+}
 
 
-def _record_lines(fmt: str, records: Iterator[dict]) -> Iterator[tuple[str, bool]]:
-    """Each record's line in format ``fmt``, with its verdict."""
-    line = _LINES[fmt]
-    return ((line(rec), rec["pass"]) for rec in records)
+def _template(fmt: str, case: dict, passed: bool) -> list[str]:
+    """The line in format ``fmt`` of a record of ``case`` whose verdict is
+    ``passed`` and whose sides are holes, split at its holes: ``case`` holds
+    a ``_HOLE`` for each of its ints, a deleted column among them. A case's
+    keys come in the order of the CSV columns, so every line function writes
+    its values in the case's order, and a record of that shape is the pieces
+    with its ints and then its two spelled sides between them, in order."""
+    hole = _SPELLING[fmt][0]
+    return _LINES[fmt](_record_dict(case, _HOLE, _HOLE, passed)).split(hole)
+
+
+def _filler(pieces: list[str]) -> Callable[..., str]:
+    """The function that returns ``pieces`` with its arguments, one fewer,
+    between them in order."""
+    return "{}".join([piece.replace("{", "{{").replace("}", "}}")
+                      for piece in pieces]).format
+
+
+def _record_lines(fmt: str, records: Iterator[tuple[dict, int, int]]
+                  ) -> Iterator[tuple[str, bool]]:
+    """The line in format ``fmt`` and the verdict of each (case, lhs, rhs)
+    of ``records``: one fill of the template of its shape, made on the
+    shape's first record. A shape is the case's keys, its str values, which
+    the template keeps, and the verdict."""
+    spell_side = _SPELLING[fmt][1]
+    fills = {}
+    for case, lhs, rhs in records:
+        passed = lhs == rhs
+        # One pass, not two comprehensions: this loop is the per-record cost.
+        shape, ints = [passed, *case], []
+        for value in case.values():
+            if type(value) is str:
+                shape.append(value)
+            else:
+                shape.append(None)
+                ints.append(value)
+        shape = tuple(shape)
+        fill = fills.get(shape)
+        if fill is None:
+            holed = {key: v if type(v) is str else _HOLE for key, v in case.items()}
+            fill = fills[shape] = _filler(_template(fmt, holed, passed))
+        yield fill(*ints, spell_side(lhs), spell_side(rhs)), passed
 
 
 def _report_head(args: argparse.Namespace) -> dict:
@@ -432,26 +412,28 @@ def cmd_seq(args: argparse.Namespace) -> int:
 # verify
 
 
-def _verification_dict(rec: VerificationRecord, trial: int | None = None) -> dict:
+def _verification(rec: VerificationRecord, trial: int | None = None
+                  ) -> tuple[dict, int, int]:
     case = rec.case if trial is None else rec.case._replace(trial=trial)
-    return _record_dict(case_to_dict(case), rec.lhs, rec.rhs)
+    return case_to_dict(case), rec.lhs, rec.rhs
 
 
 def _plan_sweep(kind: str, args: argparse.Namespace, conventions, rng: Random,
-                base_matrix: IntMatrix | None) -> tuple[int, Callable[[], Iterator[dict]]]:
+                base_matrix: IntMatrix | None
+                ) -> tuple[int, Callable[[], Iterator[tuple[dict, int, int]]]]:
     """The number of records the sweep of ``kind`` yields, and the sweep,
     deferred so the caller can cap the total before any work starts."""
     if kind == GEN_DOCAGNE:
         r_values = parse_range(args.r)
         if base_matrix is not None:
             return _size(r_values), lambda: (
-                _verification_dict(generalized_docagne(base_matrix, r)) for r in r_values)
+                _verification(generalized_docagne(base_matrix, r)) for r in r_values)
         if args.n is None:
             raise UsageError("--n is required (or pass --matrix)")
         n_values = parse_range(args.n)
         trials = range(1, args.trials + 1)
         return _size(n_values) * _size(r_values) * args.trials, lambda: (
-            _verification_dict(
+            _verification(
                 generalized_docagne(random_matrix(rng, n, args.bound), r), trial)
             for n in n_values for r in r_values for trial in trials)
     if args.n is None:
@@ -463,7 +445,7 @@ def _plan_sweep(kind: str, args: argparse.Namespace, conventions, rng: Random,
     verify = globals()[family.verify.__name__]
     size = prod(_size(grid[axis]) for axis in ("n", "r", *family.axes))
     return size * len(conventions), lambda: (
-        _verification_dict(rec)
+        _verification(rec)
         for rec in family_records(verify, family.axes, grid, conventions))
 
 
@@ -502,22 +484,6 @@ def cmd_verify(args: argparse.Namespace) -> int:
 # prop1
 
 
-# Stands for each value that changes between the records of a prop1 cell,
-# in one record's text as its format's line function writes it; no record
-# holds it.
-_HOLE = "\x00"
-
-# Per format: the text of a _HOLE in a line, and how a line spells a
-# record's deleted columns and each side. JSON writes the deleted list with
-# the list writer of its depth (records, a record, its case, the list), and
-# a side's digits need no escape, only quotes.
-_PROP1_SPELLING = {
-    "json": (encode_basestring_ascii(_HOLE), _WRITERS[4][list], lambda v: f'"{v}"'),
-    "csv": (_HOLE, lambda deleted: " ".join(map(str, deleted)), str),
-    "table": (_HOLE, str, lambda v: _elide(str(v))),
-}
-
-
 def _prop1_lines(fmt: str, cell: Prop1Cell,
                  batches: Iterator[tuple[int, list[Prop1Record]]]
                  ) -> Iterator[tuple[str, bool]]:
@@ -525,21 +491,18 @@ def _prop1_lines(fmt: str, cell: Prop1Cell,
     ``batches``, (trial, records) pairs of ``cell``: the text that
     ``_LINES[fmt]`` writes for the record's ``_record_dict``.
 
-    Only the trial, the two sides and the verdict change between a cell's
-    records, and the deleted columns between its deletions. So the line
-    function writes one record of the cell, with a ``_HOLE`` for each of
-    those values, once per verdict; the text around the deleted columns is
-    made once per deletion, and each record is one f-string.
+    A cell's records are of one shape, which keeps n and r as they are. So
+    each of the cell's deletions fills the pieces around its columns once,
+    each verdict keeps its template's tail, and each record is one f-string.
     """
-    hole, spell_deleted, spell_side = _PROP1_SPELLING[fmt]
-    case = {"kind": "prop1", "n": cell.n, "r": cell.r, "trial": _HOLE, "deleted": _HOLE}
-    pieces = {passed: _LINES[fmt](
-        {"case": case, "lhs": _HOLE, "rhs": _HOLE, "pass": passed}).split(hole)
-        for passed in (True, False)}
-    head, before_deleted, before_lhs, before_rhs, _ = pieces[True]
+    spell_side = _SPELLING[fmt][1]
+    case = {"kind": "prop1", "n": cell.n, "r": cell.r, "trial": _HOLE,
+            "deleted": [_HOLE] * cell.r}
+    pieces = {passed: _template(fmt, case, passed) for passed in (True, False)}
+    head, *around_deleted, before_rhs, _ = pieces[True]
     tails = {passed: text[-1] for passed, text in pieces.items()}
-    deleted_texts = [f"{before_deleted}{spell_deleted(list(deleted))}{before_lhs}"
-                     for deleted in cell.deletions]
+    fill_deleted = _filler(around_deleted)
+    deleted_texts = [fill_deleted(*deleted) for deleted in cell.deletions]
     for trial, batch in batches:
         start = f"{head}{trial}"
         for rec, deleted_text in zip(batch, deleted_texts):
@@ -622,13 +585,13 @@ def cmd_bench(args: argparse.Namespace) -> int:
         count = _size(ks)
         _check_cap(count, "records", "--k")
 
-        def records() -> Iterator[dict]:
+        def records() -> Iterator[tuple[dict, int, int]]:
             for k in ks:
                 slow = _timed(timings, f"iter[k={k}]", lambda: term(args.n, conv, k))
                 fast = _timed(timings, f"fast[k={k}]", lambda: term_fast(args.n, conv, k))
                 case = {"kind": "bench", "task": args.task, "n": args.n, "k": k,
                         "convention": args.convention}
-                yield _record_dict(case, fast, slow)
+                yield case, fast, slow
     else:  # bareiss-vs-laplace
         check_at_least(1, trials=args.trials)
         check_at_least(0, bound=args.bound)
@@ -641,14 +604,14 @@ def cmd_bench(args: argparse.Namespace) -> int:
                              f" (cofactor oracle limit), got {bad[0]}")
         rng = Random(args.seed)
 
-        def records() -> Iterator[dict]:
+        def records() -> Iterator[tuple[dict, int, int]]:
             for order, trial in itertools.product(orders, range(1, args.trials + 1)):
                 a = random_matrix(rng, order, args.bound)
                 db = _timed(timings, f"bareiss[order={order}]", lambda: det_bareiss(a))
                 dl = _timed(timings, f"laplace[order={order}]", lambda: det_laplace(a))
                 case = {"kind": "bench", "task": args.task, "order": order,
                         "trial": trial}
-                yield _record_dict(case, db, dl)
+                yield case, db, dl
 
     return _finish(args, count, _record_lines(args.format, records()), timings, started)
 

@@ -106,6 +106,19 @@ def test_prop1_line_mutants_are_catalogued():
             "prop1-line-verdict-inverted", "prop1-csv-deleted-join-dropped"} <= names
 
 
+def test_record_template_mutants_are_catalogued():
+    # Every verify and bench record is one fill of the template of its
+    # shape: a shape that leaves out the verdict or the str values the
+    # template keeps, and holes filled with the sides or the ints in the
+    # wrong order, must fail. A table spells a deleted list from each
+    # item's str, which keeps a template's holes: its repr must fail. A
+    # table counts an elided side's digits, not its minus sign.
+    names = {m[0] for m in mutants.MUTANTS}
+    assert {"record-shape-without-verdict", "record-shape-without-str-values",
+            "record-sides-swapped", "record-ints-reversed",
+            "table-deleted-spelled-by-repr", "elided-side-counts-its-sign"} <= names
+
+
 @pytest.mark.parametrize("name, path, old, new", mutants.MUTANTS,
                          ids=[m[0] for m in mutants.MUTANTS])
 def test_old_text_occurs_once_in_src(name, path, old, new):

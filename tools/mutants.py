@@ -167,8 +167,26 @@ MUTANTS = (
      "{tails[passed]}",
      "{tails[not passed]}"),
     ("prop1-csv-deleted-join-dropped", "src/nstepdet/cli.py",
-     'lambda deleted: " ".join(map(str, deleted))',
-     "str"),
+     'row["deleted"] = " ".join(map(str, row["deleted"]))',
+     'row["deleted"] = str(row["deleted"])'),
+    ("table-deleted-spelled-by-repr", "src/nstepdet/cli.py",
+     "', '.join(map(str, case['deleted']))",
+     "', '.join(map(repr, case['deleted']))"),
+    ("record-shape-without-verdict", "src/nstepdet/cli.py",
+     "shape, ints = [passed, *case], []",
+     "shape, ints = [*case], []"),
+    ("record-shape-without-str-values", "src/nstepdet/cli.py",
+     "shape.append(value)",
+     "shape.append(None)"),
+    ("record-sides-swapped", "src/nstepdet/cli.py",
+     "(*ints, spell_side(lhs), spell_side(rhs))",
+     "(*ints, spell_side(rhs), spell_side(lhs))"),
+    ("record-ints-reversed", "src/nstepdet/cli.py",
+     "fill(*ints, ",
+     "fill(*ints[::-1], "),
+    ("elided-side-counts-its-sign", "src/nstepdet/cli.py",
+     "len(value.lstrip('-'))",
+     "len(value)"),
 )
 
 _SKIP = shutil.ignore_patterns(
