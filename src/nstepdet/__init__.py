@@ -25,10 +25,10 @@ from .nstep_seq import (
     terms_range,
 )
 from .construction import (
+    Prop1Cell,
     build_P,
     build_Q,
     check_prop1,
-    check_prop1_all,
     extend_columns,
     minor_by_deletion,
     q_fib_det,

@@ -29,10 +29,11 @@ shape differ only in their ints and their sides. ``_template`` has the
 line function write one record of a shape with a hole for each of those,
 and every ``verify``, ``bench`` and ``prop1`` record is one fill of the
 pieces between the holes.
-Every usage error, an unwritable ``--out`` and a sweep with no records among
-them, comes before any work and the first byte; a fault in a later block,
-a failing prop1 recheck among them, propagates and leaves a report without
-its end.
+Every usage error, an unwritable ``--out``, a value below its floor and a
+sweep with no records among them, comes before any work and the first
+byte, and every one but an unwritable ``--out`` before ``--out`` is opened,
+so an existing file keeps its bytes; a fault in a later block, a failing
+prop1 recheck among them, propagates and leaves a report without its end.
 """
 
 from __future__ import annotations
@@ -175,11 +176,10 @@ def canonical_json(obj) -> str:
 
 
 def _elide(value: str) -> str:
-    """A side's decimal text, or, past 24 characters, its first 12 and its
-    digit count, which leaves out a minus sign."""
-    if len(value) <= 24:
-        return value
-    return f"{value[:12]}...({len(value.lstrip('-'))} digits)"
+    """A side's decimal text, or, past 24 digits, its first 12 characters
+    and its digit count; a minus sign is not a digit."""
+    digits = len(value.lstrip("-"))
+    return value if digits <= 24 else f"{value[:12]}...({digits} digits)"
 
 
 def _table_line(rec: dict) -> str:
@@ -418,19 +418,31 @@ def _verification(rec: VerificationRecord, trial: int | None = None
     return case_to_dict(case), rec.lhs, rec.rhs
 
 
+def _check_floors(n: int, r: int, **offsets: int) -> None:
+    """Check the least values of a sweep's ranges against their floors in
+    the order its first record's builder would: r and the offsets, then n.
+    Ranges ascend, so a value below its floor is one of these."""
+    check_at_least(1, r=r, **offsets)
+    check_at_least(2, n=n)
+
+
 def _plan_sweep(kind: str, args: argparse.Namespace, conventions, rng: Random,
                 base_matrix: IntMatrix | None
                 ) -> tuple[int, Callable[[], Iterator[tuple[dict, int, int]]]]:
     """The number of records the sweep of ``kind`` yields, and the sweep,
-    deferred so the caller can cap the total before any work starts."""
+    deferred so the caller can cap the total before any work starts. Each
+    value is checked against its floor here, before any work and before
+    ``--out`` is opened."""
     if kind == GEN_DOCAGNE:
         r_values = parse_range(args.r)
         if base_matrix is not None:
+            _check_floors(check_square("generalized_docagne", base_matrix), r_values[0])
             return _size(r_values), lambda: (
                 _verification(generalized_docagne(base_matrix, r)) for r in r_values)
         if args.n is None:
             raise UsageError("--n is required (or pass --matrix)")
         n_values = parse_range(args.n)
+        _check_floors(n_values[0], r_values[0])
         trials = range(1, args.trials + 1)
         return _size(n_values) * _size(r_values) * args.trials, lambda: (
             _verification(
@@ -440,6 +452,7 @@ def _plan_sweep(kind: str, args: argparse.Namespace, conventions, rng: Random,
         raise UsageError("--n is required")
     grid = {axis: parse_range(getattr(args, axis)) for axis in ("n", "r", "s", "p", "q")}
     family = FAMILIES[kind]
+    _check_floors(grid["n"][0], grid["r"][0], **{a: grid[a][0] for a in family.axes})
     # Call the verifier through the name this module imports it under: the
     # benchmark's tracer patches those names (nstepdet.cli.verify_*).
     verify = globals()[family.verify.__name__]
@@ -580,6 +593,7 @@ def cmd_bench(args: argparse.Namespace) -> int:
     _resolve_flags(args, _BENCH_DEFAULTS, {"n", "k", "convention"} if term_task
                    else {"order", "trials", "bound", "seed"})
     if term_task:
+        check_at_least(2, n=args.n)
         conv = _CONVENTIONS[args.convention]
         ks = parse_sizes(args.k)
         count = _size(ks)

@@ -1,6 +1,6 @@
 """Banded sign matrix, recursive column extensions, and signed minors.
 
-Three builders and three checkers make up the machinery:
+Three builders and two checkers make up the machinery:
 
 * ``build_P``           -- the (n+r-1) x r banded matrix whose column j holds
                            ones in rows j..j+n-1 and a single -1 in row j+n.
@@ -21,25 +21,23 @@ Three builders and three checkers make up the machinery:
                            sign and band determinant are made once, when
                            the cell is, and calling the cell on a matrix
                            gives that matrix's records, its extension and
-                           determinant taken once.
-* ``check_prop1_all``   -- one cell's records for a batch of matrices of
-                           one order, validated once at the call: its
-                           deletions come from ``combinations``. It gives
-                           one matrix's records at a time. All minors of one
-                           extension come from one fraction-free walk over
-                           kept-column prefixes (``_kept_minor_dets``). Each
-                           minor's elimination takes the last column, which
-                           every minor keeps, as its first pivot, so that
-                           step is done once per extension; minors that
-                           share their next kept columns share those steps
-                           too, and each value is still the last pivot of
-                           its own minor's elimination.
-                           The same walk over P's columns, bordered so
-                           that each band submatrix is such a minor, gives
-                           every band determinant of the batch.
-                           The per-deletion ``check_prop1`` stays the
-                           reference it is tested against, and the CLI
-                           rechecks one deletion per matrix through it.
+                           determinant taken once; a batch of matrices is
+                           ``map(Prop1Cell(n, r), mats)``. All minors of
+                           one extension come from one fraction-free walk
+                           over kept-column prefixes
+                           (``_kept_minor_dets``). Each minor's elimination
+                           takes the last column, which every minor keeps,
+                           as its first pivot, so that step is done once
+                           per extension; minors that share their next
+                           kept columns share those steps too, and each
+                           value is still the last pivot of its own
+                           minor's elimination. The same walk over P's
+                           columns, bordered so that each band submatrix
+                           is such a minor, gives every band determinant
+                           of the cell. The per-deletion ``check_prop1``
+                           stays the reference it is tested against, and
+                           the CLI rechecks one deletion per matrix
+                           through it.
 
 A ``Prop1Record`` stores the minor's determinant and the three factors of
 the right side; ``rhs`` (their product) and ``passed`` are derived from
@@ -52,7 +50,7 @@ determinants are exactly the n-step Fibonacci numbers with power seeding.
 from __future__ import annotations
 
 from collections import namedtuple
-from collections.abc import Iterable, Iterator, Sequence
+from collections.abc import Iterable, Sequence
 from itertools import combinations
 
 from .exact_linalg import (
@@ -76,7 +74,6 @@ __all__ = [
     "sign_from_deleted",
     "sign_from_kept",
     "check_prop1",
-    "check_prop1_all",
     "Prop1Cell",
     "q_fib_det",
 ]
@@ -222,11 +219,20 @@ class Prop1Cell:
     """The part of the product rule for one order n and extension length r
     that does not depend on the matrix: every deletion, in ``combinations``
     order, with its kept columns, its sign (cross-checked) and its det Q,
-    all made when the cell is. Calling the cell on an n x n matrix ``a``
-    gives ``[check_prop1(a, r, d) for d in cell.deletions]``: ``a`` is
-    extended and its determinant taken once, and every minor of the
-    extension comes from one ``_kept_minor_dets`` walk. So a caller can make
-    each matrix just before it is checked.
+    all made when the cell is. n and r are validated there, once; the
+    deletions come from ``combinations``, so none is validated again.
+
+    Calling the cell on an n x n matrix ``a`` gives ``[check_prop1(a, r, d)
+    for d in cell.deletions]``, and a matrix of another order or shape
+    raises ``DimensionError``. ``a`` is extended and its determinant taken
+    once. Every minor of the extension, and every det Q, is evaluated by
+    fraction-free elimination of its own columns, shared between minors only
+    where their kept columns agree (``_kept_minor_dets``: one walk per
+    extension, and one per cell over P's transpose bordered by a zero column
+    and a last row e_(n+r)), never derived from the rule it checks;
+    ``det_bareiss`` takes only det(a). So a batch of matrices is
+    ``map(cell, mats)``, and a caller can make each matrix just before it is
+    checked.
     """
 
     __slots__ = ("n", "r", "deletions", "_parts")
@@ -260,36 +266,10 @@ class Prop1Cell:
                 for deleted, kept, sign, det_q in self._parts]
 
 
-def check_prop1_all(mats: Iterable[IntMatrix], r: int) -> Iterator[list[Prop1Record]]:
-    """``check_prop1`` for every deletion, for each of a batch of matrices.
-
-    The matrices must be square and share one order n. The result is an
-    iterator whose item i equals ``[check_prop1(mats[i], r, d) for d in
-    combinations(range(1, n + r), r)]``, made when the iterator reaches it,
-    so a batch's records are never held whole. Only the matrices and r are
-    validated, once, at the call: the deletions come from ``combinations``.
-    Work that does not depend on the deletion is done once: each matrix is
-    extended and its determinant taken once, and P, the kept columns, the
-    signs (cross-checked) and every det Q once for the whole batch, at the
-    call, by one ``Prop1Cell`` (det Q does not depend on the matrix). Every
-    minor of one extension, and every det Q, is evaluated by fraction-free
-    elimination of its own columns, shared between minors only where their
-    kept columns agree (``_kept_minor_dets``: one walk per extension, and
-    one per batch over P's transpose bordered by a zero column and a last
-    row e_(n+r)), never derived from the rule it checks. ``det_bareiss``
-    takes only det(a).
-    """
-    check_at_least(1, r=r)
-    mats = list(mats)
-    if not mats:
-        return iter(())
-    return map(Prop1Cell(check_square("check_prop1_all", *mats), r), mats)
-
-
 def _kept_minor_dets(ext_rows: list[list[int]]) -> dict[tuple[int, ...], int]:
     """The determinant of every n x n minor of an n x m matrix that keeps
     its last column, keyed by its other n-1 kept columns (1-based).
-    ``check_prop1_all`` passes it each n x (n+r) extension, and for det Q
+    ``Prop1Cell`` passes it each n x (n+r) extension, and for det Q
     the (r+1) x (n+r) transpose of P bordered by a zero column and a last
     row e_(n+r).
 

@@ -36,9 +36,19 @@ from nstepdet.cli import (
     parse_sizes,
     random_matrix,
 )
-from nstepdet.construction import Prop1Cell, check_prop1_all
+from nstepdet.construction import Prop1Cell
 from nstepdet.identities import FAMILIES
 from nstepdet.nstep_seq import CLASSIC, PAPER_POWERS, sweep, term, terms_range
+
+
+def forbid_work(monkeypatch, why):
+    """Make every call that makes a record or a term fail with ``why``."""
+    def no_work(*args):
+        raise AssertionError(why)
+
+    for name in ("sweep", "family_records", "random_matrix", "generalized_docagne",
+                 "Prop1Cell", "term", "term_fast"):
+        monkeypatch.setattr(f"nstepdet.cli.{name}", no_work)
 
 
 def run(capsys, *argv):
@@ -662,7 +672,7 @@ class TestProp1Lines:
     @staticmethod
     def expected(fmt, args, skew=lambda batch: batch):
         """The (line, verdict) of each record of a prop1 run, its matrices
-        drawn anew and checked by ``check_prop1_all``, a cell at a time."""
+        drawn anew and checked by a ``Prop1Cell``, a cell at a time."""
         rng = Random(args.seed)
         if args.matrix is not None:
             base = nstepdet.parse_matrix(args.matrix)
@@ -671,7 +681,8 @@ class TestProp1Lines:
             cells = [(n, r, [random_matrix(rng, n, args.bound) for _ in range(args.trials)])
                      for n in parse_range(args.n) for r in parse_range(args.r)]
         for n, r, mats in cells:
-            batches = enumerate(map(skew, check_prop1_all(mats, r)), start=1)
+            cell = Prop1Cell(n, r)
+            batches = enumerate([skew(cell(a)) for a in mats], start=1)
             yield from generic_prop1_lines(fmt, n, r, batches)
 
 
@@ -1007,18 +1018,44 @@ class TestReportShape:
     def test_unwritable_out_is_usage_error(self, capsys, monkeypatch, tmp_path, argv,
                                            where):
         # --out is opened before any work, so no record or term is made.
-        def no_work(*args):
-            raise AssertionError("an unwritable --out must fail before any work")
-
-        for name in ("sweep", "family_records", "random_matrix", "Prop1Cell",
-                     "term", "term_fast"):
-            monkeypatch.setattr(f"nstepdet.cli.{name}", no_work)
+        forbid_work(monkeypatch, "an unwritable --out must fail before any work")
         target = {"directory": tmp_path, "missing parent": tmp_path / "missing" / "x.txt",
                   "empty path": ""}[where]
         code, out, err = run(capsys, *argv, "--out", str(target))
         assert code == EXIT_USAGE
         assert err.startswith("error: ")
         assert out == ""
+
+    # Each value below its floor, and a --matrix that is not square, is
+    # named as the sweep's first record would name it: r and the offsets
+    # before n, and `verify all` kind by kind.
+    @pytest.mark.parametrize("argv, error", [
+        ("verify cassini --n 2 --r 0..2", "parameter r must be >= 1, got 0"),
+        ("verify docagne --n 2 --r 1 --s 0", "parameter s must be >= 1, got 0"),
+        ("verify vajda --n 2 --r 1 --q 0", "parameter q must be >= 1, got 0"),
+        ("verify vajda --n 1 --r 1 --p 0 --q 0", "parameter p must be >= 1, got 0"),
+        ("verify catalan --n 1..3 --r 1 --p 0..2", "parameter p must be >= 1, got 0"),
+        ("verify gen-docagne --n 1 --r 1", "parameter n must be >= 2, got 1"),
+        ("verify gen-docagne --n 0", "parameter n must be >= 2, got 0"),
+        ("verify gen-docagne --n=-1 --r 1", "parameter n must be >= 2, got -1"),
+        ("verify gen-docagne --matrix 1_2_3;_4_5_6 --r 1",
+         "generalized_docagne needs a square matrix, got 2x3"),
+        ("verify gen-docagne --matrix 7 --r 1", "parameter n must be >= 2, got 1"),
+        ("verify all --n 2..6 --r 1..200 --s 0", "parameter s must be >= 1, got 0"),
+        ("verify all --n 1 --r 1 --s 0", "parameter n must be >= 2, got 1"),
+        ("bench term-fast-vs-iter --n 1 --k 5", "parameter n must be >= 2, got 1"),
+    ])
+    def test_value_below_its_floor_leaves_out_untouched(self, capsys, monkeypatch,
+                                                        tmp_path, argv, error):
+        forbid_work(monkeypatch, "a value below its floor must fail before any work")
+        target = tmp_path / "report.txt"
+        target.write_bytes(b"an earlier report\n")
+        code, out, err = run(capsys, *[a.replace("_", " ") for a in argv.split()],
+                             "--format", "csv", "--out", str(target))
+        assert code == EXIT_USAGE
+        assert out == ""
+        assert err == f"error: {error}\n"
+        assert target.read_bytes() == b"an earlier report\n"
 
     @pytest.mark.parametrize("fmt", ["json", "csv", "table"])
     def test_records_are_written_a_block_at_a_time(self, monkeypatch, fmt):
@@ -1111,6 +1148,12 @@ class TestReportShape:
         assert _elide(side) == "-12345678901...(45 digits)"
         assert _elide(side[1:]) == "123456789012...(45 digits)"
         assert _elide(side[:24]) == side[:24]
+        # 24 digits are printed whole with or without a minus sign, and 25
+        # are elided either way.
+        assert _elide(side[1:25]) == side[1:25]
+        assert _elide(side[:25]) == side[:25]
+        assert _elide(side[1:26]) == "123456789012...(25 digits)"
+        assert _elide(side[:26]) == "-12345678901...(25 digits)"
 
     # Negative 27-digit sides, and minors of 45 digits of either sign.
     @pytest.mark.parametrize("argv", [
@@ -1128,7 +1171,7 @@ class TestReportShape:
         assert len(elided) == len(sides)
         for text, side in zip(elided, sides):
             digits = len(side.lstrip("-"))
-            assert text == (side if len(side) <= 24
+            assert text == (side if digits <= 24
                             else f"{side[:12]}...({digits} digits)")
 
     def test_no_subcommand_is_usage_error(self, capsys):

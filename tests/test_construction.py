@@ -23,11 +23,11 @@ from nstepdet.exact_linalg import (
 )
 from nstepdet.nstep_seq import PAPER_POWERS, term
 from nstepdet.construction import (
+    Prop1Cell,
     Prop1Record,
     build_P,
     build_Q,
     check_prop1,
-    check_prop1_all,
     extend_columns,
     minor_by_deletion,
     minor_selection,
@@ -292,7 +292,7 @@ class TestCheckProp1:
     def test_sign_check_survives_optimize_flag(self):
         # python -O strips assert statements; the sign cross-check must
         # still raise when the two formulas disagree, on the per-deletion
-        # path and in the batch.
+        # path and in a cell.
         code = textwrap.dedent("""
             import sys
             import nstepdet.construction as construction
@@ -302,7 +302,7 @@ class TestCheckProp1:
             construction._kept_sign = lambda n, kept: 0
             a = IntMatrix.from_rows([[1, 2], [0, 1]])
             for check in (lambda: construction.check_prop1(a, 1, [1]),
-                          lambda: construction.check_prop1_all([a], 1)):
+                          lambda: construction.Prop1Cell(2, 1)(a)):
                 try:
                     check()
                 except ArithmeticError:
@@ -319,10 +319,10 @@ def draw_matrix(data, n, bound):
 
 
 def assert_minors_match_laplace(a, r):
-    """Every minor of the batch equals the cofactor expansion of the minor
+    """Every minor of the cell equals the cofactor expansion of the minor
     assembled from the extension, and the per-deletion record."""
     ext = extend_columns(a, r)
-    [records] = check_prop1_all([a], r)
+    records = Prop1Cell(a.rows, r)(a)
     assert [rec.deleted for rec in records] == list(combinations(range(1, a.rows + r), r))
     for rec in records:
         assert rec.minor_value == det_laplace(minor_by_deletion(ext, rec.deleted))
@@ -330,6 +330,9 @@ def assert_minors_match_laplace(a, r):
 
 
 class TestCheckProp1All:
+    """The product rule for all deletions at once: one ``Prop1Cell`` per
+    (n, r), called on each matrix of a batch, ``[cell(a) for a in mats]``."""
+
     @settings(max_examples=60, deadline=None)
     @given(data=st.data(), n=st.integers(2, 6), r=st.integers(1, 5),
            bound=st.integers(0, 9), count=st.integers(1, 3))
@@ -337,7 +340,8 @@ class TestCheckProp1All:
         # bound 0 gives the zero matrix, so singular inputs are covered.
         mats = [draw_matrix(data, n, bound) for _ in range(count)]
         deletions = list(combinations(range(1, n + r), r))
-        assert list(check_prop1_all(mats, r)) == [
+        cell = Prop1Cell(n, r)
+        assert [cell(a) for a in mats] == [
             [check_prop1(a, r, d) for d in deletions] for a in mats]
 
     @settings(max_examples=60, deadline=None)
@@ -365,7 +369,7 @@ class TestCheckProp1All:
             assert_minors_match_laplace(M(rows), r)
 
     def test_deletions_are_not_validated_again(self, monkeypatch):
-        # The batch validates its inputs once, at entry; its deletions come
+        # A cell validates n and r once, when it is made; its deletions come
         # from combinations, so no per-deletion validator may run.
         rng = random.Random(17)
         cells = {(n, r): [random_matrix(rng, n, 9) for _ in range(2)]
@@ -381,7 +385,8 @@ class TestCheckProp1All:
         monkeypatch.setattr(construction, "minor_selection", refuse)
         monkeypatch.setattr(construction, "check_indices", refuse)
         for (n, r), mats in cells.items():
-            assert list(check_prop1_all(mats, r)) == expected[n, r], (n, r)
+            cell = Prop1Cell(n, r)
+            assert [cell(a) for a in mats] == expected[n, r], (n, r)
 
     def test_walk_division_check_survives_optimize_flag(self):
         code = textwrap.dedent("""
@@ -441,7 +446,7 @@ class TestCheckProp1All:
         # transpose; build_Q plus det_bareiss (and Laplace at small r) is
         # its per-deletion oracle, and rows n..n+r-1 give q_fib_det.
         for r in range(1, 9):
-            [records] = check_prop1_all([IntMatrix.identity(n)], r)
+            records = Prop1Cell(n, r)(IntMatrix.identity(n))
             for rec in records:
                 q = build_Q(n, r, rec.deleted)
                 assert rec.det_q == det_bareiss(q), (r, rec.deleted)
@@ -461,7 +466,7 @@ class TestCheckProp1All:
         monkeypatch.setattr(
             "nstepdet.construction.build_P",
             lambda n, r: M([[2 * e for e in row] for row in true_p.to_rows()]))
-        [records] = check_prop1_all([a], 2)
+        records = Prop1Cell(2, 2)(a)
         for rec in records:
             assert rec.minor_value == det_laplace(minor_by_deletion(ext, rec.deleted))
             assert rec.det_q == 2**2 * true_det_q[rec.deleted]
@@ -471,28 +476,25 @@ class TestCheckProp1All:
     def test_cell_is_the_batch_of_one_matrix(self, n, r):
         # A cell made once checks any number of matrices, each on its own
         # call, in the order of its deletions.
-        cell = construction.Prop1Cell(n, r)
+        cell = Prop1Cell(n, r)
         assert cell.deletions == tuple(combinations(range(1, n + r), r))
         rng = random.Random(n * 10 + r)
         for a in [random_matrix(rng, n, 9) for _ in range(3)]:
             assert cell(a) == [check_prop1(a, r, d) for d in cell.deletions]
 
-    def test_empty_batch(self):
-        assert list(check_prop1_all([], 2)) == []
-
     def test_mixed_or_non_square_orders_rejected(self):
-        with pytest.raises(DimensionError):
-            check_prop1_all([IntMatrix.identity(2), IntMatrix.identity(3)], 1)
-        with pytest.raises(DimensionError):
-            check_prop1_all([M([[1, 2, 3], [4, 5, 6]])], 1)
-        cell = construction.Prop1Cell(2, 1)
+        # A cell checks each matrix's order when it is called on it, so a
+        # batch of mixed orders raises at its first matrix of another order.
+        cell = Prop1Cell(2, 1)
         for a in (M([[1, 2, 3], [4, 5, 6]]), IntMatrix.identity(3)):
             with pytest.raises(DimensionError):
                 cell(a)
+        with pytest.raises(DimensionError):
+            [cell(a) for a in (IntMatrix.identity(2), IntMatrix.identity(3))]
 
     def test_bad_extension_length_rejected(self):
         with pytest.raises(ValueError):
-            check_prop1_all([IntMatrix.identity(2)], 0)
+            Prop1Cell(2, 0)
 
     def test_cli_recheck_disagreement_exits_nonzero(self):
         # The CLI rechecks one deletion per matrix on the per-deletion path;

@@ -14,7 +14,6 @@ from nstepdet.construction import (
     build_P,
     build_Q,
     check_prop1,
-    check_prop1_all,
     extend_columns,
     minor_by_deletion,
     minor_selection,
@@ -112,8 +111,9 @@ def test_bool_or_float_is_not_an_int(call, error):
     (True, "^parameter r must be an int, got True$"),
 ], ids=["zero", "float", "bool"])
 def test_empty_batch_still_validates_r(r, error):
+    # A cell validates r when it is made, before any matrix of a batch.
     with pytest.raises(ValueError, match=error):
-        check_prop1_all([], r)
+        Prop1Cell(2, r)
 
 
 @pytest.mark.parametrize("call", [
@@ -136,7 +136,7 @@ MATRIX_TAKERS = {
     "det_laplace": det_laplace,
     "extend_columns": lambda *m: extend_columns(*m, 1),
     "check_prop1": lambda *m: check_prop1(*m, 1, (1,)),
-    "check_prop1_all": lambda *m: check_prop1_all(m, 1),
+    "Prop1Cell": lambda *m: [Prop1Cell(2, 1)(a) for a in m],
     "generalized_docagne": lambda *m: generalized_docagne(*m, 1),
     "ratio_invariance": lambda *m: ratio_invariance(*m, 1),
 }
@@ -145,10 +145,10 @@ BAD_MATRICES = [
     *((name, "non-square", (WIDE,)) for name in MATRIX_TAKERS if name != "ratio_invariance"),
     ("ratio_invariance", "non-square", (WIDE, SQUARE2)),
     ("ratio_invariance", "second non-square", (SQUARE2, WIDE)),
-    ("check_prop1_all", "second non-square", (SQUARE2, WIDE)),
+    ("Prop1Cell", "second non-square", (SQUARE2, WIDE)),
     ("ratio_invariance", "mixed orders", (SQUARE2, SQUARE3)),
-    ("check_prop1_all", "mixed orders", (SQUARE2, SQUARE3)),
-    ("check_prop1_all", "mixed orders later", (SQUARE2, SQUARE2, SQUARE3)),
+    ("Prop1Cell", "mixed orders", (SQUARE2, SQUARE3)),
+    ("Prop1Cell", "mixed orders later", (SQUARE2, SQUARE2, SQUARE3)),
 ]
 
 

@@ -127,3 +127,15 @@ def test_old_text_occurs_once_in_src(name, path, old, new):
     others = sum(p.read_text(encoding="utf-8").count(old)
                  for p in (ROOT / "src").rglob("*.py") if p != ROOT / path)
     assert others == 0
+
+
+def test_cell_and_floor_mutants_are_catalogued():
+    # A cell is the product rule's one batch path, and its call is the only
+    # order check of a batch: a cell that takes a matrix of another order
+    # must fail. A value below its floor exits 2 before --out is opened: a
+    # sweep that checks r and the offsets only in its first record must
+    # fail. A table elides a side by its digit count: a threshold that
+    # counts the minus sign must fail.
+    names = {m[0] for m in mutants.MUTANTS}
+    assert {"prop1-cell-order-check-dropped", "early-floor-check-dropped",
+            "elide-threshold-counts-its-sign"} <= names

@@ -38,4 +38,4 @@ def test_library_block_values_match_their_comments():
             continue
         assert value == expected, lines[stmt.end_lineno - 1]
         checked.append(expected)
-    assert checked == [True, 274, True]
+    assert checked == [True, 274, True, 6]

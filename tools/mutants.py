@@ -185,8 +185,17 @@ MUTANTS = (
      "fill(*ints, ",
      "fill(*ints[::-1], "),
     ("elided-side-counts-its-sign", "src/nstepdet/cli.py",
-     "len(value.lstrip('-'))",
-     "len(value)"),
+     "...({digits} digits)",
+     "...({len(value)} digits)"),
+    ("elide-threshold-counts-its-sign", "src/nstepdet/cli.py",
+     "value if digits <= 24 else",
+     "value if len(value) <= 24 else"),
+    ("prop1-cell-order-check-dropped", "src/nstepdet/construction.py",
+     'check_square("Prop1Cell", a) != n:',
+     'check_square("Prop1Cell", a) < 0:'),
+    ("early-floor-check-dropped", "src/nstepdet/cli.py",
+     "check_at_least(1, r=r, **offsets)",
+     "pass"),
 )
 
 _SKIP = shutil.ignore_patterns(
