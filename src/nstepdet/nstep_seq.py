@@ -26,11 +26,15 @@ every window, then sweeps forward. ``term_fast`` stops the jump at half
 the index: term k is a quadratic form in x^((k-1)//2), which it evaluates
 as at most n big squares by an exact reduction of the seeds' Hankel form,
 memoized per seed tuple and parity (a bounded cache that holds no term
-value). The iterative ``term`` stays the independent oracle the engine is
-checked against; the two must agree at every index. At k = 10^6 on one
-core of a shared 2-core x86-64 VM (Python 3.11, best of 27 calls in nine
-processes), ``term_fast`` takes 0.043 s for n = 2, 0.12 s for n = 3,
-0.41 s for n = 6 and 1.35 s for n = 12.
+value). It reaches x^((k-1)//2) by squaring x^((k-1)//4); once those
+coefficients are big and n >= 3, that square is taken as 2n-1 big squares
+of values at fixed integer points and infinity instead of n(n+1)/2
+(Toom-Cook evaluation and interpolation: one integer matrix per n,
+memoized, and an exact division). The iterative ``term`` stays the
+independent oracle the engine is checked against; the two must agree at
+every index. At k = 10^6 on one core of a shared 2-core x86-64 VM (Python
+3.11, best of 27 calls in nine processes), ``term_fast`` takes 0.039 s for
+n = 2, 0.096 s for n = 3, 0.29 s for n = 6 and 0.69 s for n = 12.
 """
 
 from __future__ import annotations
@@ -230,8 +234,77 @@ def _exact_div(num: int, den: int) -> int:
     raises ArithmeticError, under ``python -O`` too."""
     quo, rem = divmod(num, den)
     if rem:
-        raise ArithmeticError("inexact division in the Hankel form reduction")
+        raise ArithmeticError("inexact division in term_fast")
     return quo
+
+
+def _from_roots(roots: list[int]) -> list[int]:
+    """Coefficients of prod (x - t) over ``roots``, lowest degree first."""
+    poly = [1]
+    for t in roots:
+        poly = list(map(add, [0] + poly, [-t * a for a in poly] + [0]))
+    return poly
+
+
+# The plan ``(powers, rows, den)`` of ``_square_at_points``.
+_SquarePlan = tuple[tuple[tuple[tuple[int, ...], tuple[int, ...]], ...],
+                    tuple[tuple[int, ...], ...], int]
+
+
+@lru_cache(maxsize=64)
+def _square_plan(n: int) -> _SquarePlan:
+    """What ``_square_at_points`` needs at order n, built once per n.
+
+    The 2n-1 points are the consecutive integers -(n-2)..n-1, taken in the
+    order 0, 1, -1, ..., n-2, -(n-2), n-1, and infinity last. ``powers``
+    holds, for t = 1..n-1, the powers of t that w's even and odd
+    coefficients are dotted with: w(+-t) = even +- odd. The square P = w^2,
+    of degree 2n-2, is the Lagrange interpolant of its values: with F the
+    product of (x - t) over the finite points t and N_j = F / (x - t_j),
+    P = P(inf) * F + sum_j P(t_j) * N_j / N_j(t_j). Each |N_j(t_j)| is
+    a! b! with a + b = 2n-3, since the points are consecutive, and divides
+    den = (2n-3)!, so den times that basis is an integer matrix. ``rows``
+    is it folded modulo the characteristic polynomial: row i dotted with the
+    squared values is den times coefficient i of w^2 mod the polynomial.
+
+    A pure function of n that holds no term value, memoized like
+    ``_hankel_squares``.
+    """
+    finite = [0] + [s * t for t in range(1, n - 1) for s in (1, -1)] + [n - 1]
+    powers = tuple((tuple(t ** i for i in range(0, n, 2)),
+                    tuple(t ** i for i in range(1, n, 2))) for t in range(1, n))
+    den = 1
+    for i in range(2, 2 * n - 2):
+        den *= i
+    basis = []
+    for t in finite:
+        poly = _from_roots([s for s in finite if s != t])
+        scale = _exact_div(den, sum(a * t ** i for i, a in enumerate(poly)))
+        basis.append([scale * a for a in poly] + [0])
+    basis.append([den * a for a in _from_roots(finite)])
+    x_to = [[1] + [0] * (n - 1)]  # x^j modulo the characteristic polynomial
+    for _ in range(2 * n - 2):
+        x_to.append(_times_x(x_to[-1]))
+    rows = tuple(tuple(sum(map(mul, poly, (x_j[i] for x_j in x_to))) for poly in basis)
+                 for i in range(n))
+    return powers, rows, den
+
+
+def _square_at_points(w: list[int]) -> list[int]:
+    """``w * w`` modulo the characteristic polynomial, as ``_square`` gives
+    it, by 2n-1 big squares instead of n(n+1)/2 (Toom-Cook evaluation and
+    interpolation): w's values at the plan's points are squared, and each
+    coefficient is a row of the plan dotted with the squares, divided
+    exactly by its denominator."""
+    powers, rows, den = _square_plan(len(w))
+    even, odd = w[::2], w[1::2]
+    values = [w[0]]
+    for even_powers, odd_powers in powers:
+        e, o = sum(map(mul, even_powers, even)), sum(map(mul, odd_powers, odd))
+        values += (e + o, e - o)
+    values[-1] = w[-1]  # n-1 is taken alone, so infinity takes -(n-1)'s place
+    squares = [v * v for v in values]
+    return [_exact_div(sum(map(mul, row, squares)), den) for row in rows]
 
 
 # The steps ``(row, prev, pivot)`` of ``_hankel_squares``.
@@ -289,6 +362,13 @@ def _hankel_value(steps: _Steps, c: list[int]) -> int:
     return value
 
 
+# ``_square_at_points`` saves (n-1)(n-2)/2 big squares, none at n = 2, and
+# costs n(2n-1) products of a square by a plan entry. Those pay for
+# themselves only once the squares are big: the two squarings break even
+# at 2000-3000 bits for n = 4..12 and about 7000 bits at n = 3.
+_POINTS_FROM_BITS = 3000
+
+
 def term_fast(n: int, conv: Convention, k: int) -> int:
     """Term ``k`` (any integer) by polynomial reduction (Fiduccia's method).
 
@@ -299,10 +379,19 @@ def term_fast(n: int, conv: Convention, k: int) -> int:
     form as at most n big squares instead of a full polynomial square or
     n products of two different big numbers; the reduction behind the
     squares (``_hankel_squares``) is computed once per seed tuple and d and
-    then taken from a bounded cache. Exactly equals ``term(n, conv, k)``;
-    cost grows with log |k| rather than |k| (big-integer arithmetic aside).
+    then taken from a bounded cache. The step before it, c = w^2 x^(u & 1)
+    with w = x^(u >> 1), squares w at 2n-1 points (``_square_at_points``)
+    once w's coefficients pass ``_POINTS_FROM_BITS`` and n >= 3, where that
+    takes fewer big squares than ``_square``. Exactly equals
+    ``term(n, conv, k)``; cost grows with log |k| rather than |k|
+    (big-integer arithmetic aside).
     """
     seeds = seed_block(n, conv)
     _check_term_indices(k)
     u = (k - 1) // 2
-    return _hankel_value(_hankel_squares(seeds, k - 1 - 2 * u), _x_pow(n, u))
+    w = _x_pow(n, u >> 1)
+    c = (_square_at_points(w) if n > 2 and w[-1].bit_length() > _POINTS_FROM_BITS
+         else _square(w))
+    if u & 1:
+        c = _times_x(c)
+    return _hankel_value(_hankel_squares(seeds, k - 1 - 2 * u), c)

@@ -3,6 +3,7 @@ import json
 import random
 
 import pytest
+from hypothesis import given, strategies as st
 
 import nstepdet.identities
 from nstepdet.cli import random_matrix
@@ -16,9 +17,10 @@ from nstepdet.exact_linalg import (
     transpose,
 )
 from nstepdet.construction import extend_columns
-from nstepdet.nstep_seq import CLASSIC, PAPER_POWERS, custom, term
+from nstepdet.nstep_seq import CLASSIC, PAPER_POWERS, _POINTS_FROM_BITS, _x_pow, custom, term
 from nstepdet.identities import (
     CASSINI,
+    GEN_DOCAGNE,
     IdentityCase,
     RegularityError,
     VerificationRecord,
@@ -187,6 +189,29 @@ class TestGeneralizedDOcagne:
     def test_non_square_rejected(self):
         with pytest.raises(DimensionError):
             generalized_docagne(M([[1, 2, 3], [4, 5, 6]]), 1)
+
+    @staticmethod
+    def _record_by_walk(a, r):
+        # The record as built before the right side came from term_fast: the
+        # factor by the O(r) walk, the minor straight from the extension.
+        n = a.rows
+        return VerificationRecord(
+            IdentityCase(GEN_DOCAGNE, n, r, convention=PAPER_POWERS.name),
+            det_bareiss(_extend_last(a, r)), term(n, PAPER_POWERS, r) * det_bareiss(a))
+
+    @given(data=st.data(), n=st.integers(2, 6), r=st.integers(1, 400))
+    def test_record_equals_the_one_built_with_term(self, data, n, r):
+        entries = st.lists(st.integers(-9, 9), min_size=n, max_size=n)
+        a = M(data.draw(st.lists(entries, min_size=n, max_size=n)))
+        assert generalized_docagne(a, r) == self._record_by_walk(a, r)
+
+    @pytest.mark.parametrize("n", [3, 6])
+    def test_record_equals_the_one_built_with_term_at_large_r(self, n):
+        # At this r term_fast squares x^(u >> 1) at points.
+        r = 14_400
+        assert _x_pow(n, (r - 1) // 2 >> 1)[-1].bit_length() > _POINTS_FROM_BITS
+        a = random_matrix(random.Random(n), n, 9)
+        assert generalized_docagne(a, r) == self._record_by_walk(a, r)
 
 
 class TestRatioInvariance:

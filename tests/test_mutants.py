@@ -139,3 +139,15 @@ def test_cell_and_floor_mutants_are_catalogued():
     names = {m[0] for m in mutants.MUTANTS}
     assert {"prop1-cell-order-check-dropped", "early-floor-check-dropped",
             "elide-threshold-counts-its-sign"} <= names
+
+
+def test_point_square_mutants_are_catalogued():
+    # term_fast squares x^(u >> 1) at 2n-1 points once its coefficients are
+    # big: a plan entry off by one, an odd u without its shift by x, an
+    # interpolation whose remainder goes unchecked and infinity's value
+    # taken from another coefficient must fail, and so must gen-docagne's
+    # right side, now from term_fast, at r - 1.
+    names = {m[0] for m in mutants.MUTANTS}
+    assert {"points-plan-entry-off-by-one", "points-odd-shift-dropped",
+            "points-remainder-check-dropped", "points-infinity-takes-a-finite-value",
+            "gen-docagne-rhs-at-r-minus-one"} <= names

@@ -3,14 +3,20 @@ from hypothesis import given, strategies as st
 
 from random import Random
 
+from nstepdet import nstep_seq
 from nstepdet.exact_linalg import RangeError
 from nstepdet.nstep_seq import (
     CLASSIC,
     PAPER_POWERS,
+    _POINTS_FROM_BITS,
     Convention,
     _exact_div,
     _hankel_squares,
     _hankel_value,
+    _square,
+    _square_at_points,
+    _square_plan,
+    _x_pow,
     custom,
     seed_block,
     sweep,
@@ -242,6 +248,53 @@ class TestHankelSquares:
             _exact_div(7, 2)
 
 
+class TestSquareAtPoints:
+    """term_fast squares x^(u >> 1) by its values at 2n-1 points, mapped
+    back by one integer matrix and an exact division, once the coefficients
+    are big; ``_square`` is the oracle."""
+
+    @given(w=st.integers(2, 12).flatmap(lambda n: st.lists(
+        st.one_of(st.integers(-3, 3), st.integers(-10**30, 10**30)),
+        min_size=n, max_size=n)))
+    def test_equals_square(self, w):
+        assert _square_at_points(w) == _square(w)
+
+    @pytest.mark.parametrize("n", range(2, 13))
+    def test_equals_square_on_powers_of_x(self, n):
+        for e in (1, n, 2 ** 13 + 5, -7, -(2 ** 14) - 3):
+            w = _x_pow(n, e)
+            assert _square_at_points(w) == _square(w), e
+
+    def test_n_two_takes_the_three_squares_of_square(self):
+        # The points 0, 1 and infinity give c0^2, (c0 + c1)^2 and c1^2, the
+        # squares ``_square`` takes, and a denominator of 1. With x^2 = x + 1
+        # the square is (c0^2 + c1^2) + ((c0 + c1)^2 - c0^2) x.
+        assert _square_plan(2) == ((((1,), (1,)),), ((1, 0, 1), (-1, 1, 0)), 1)
+
+    @pytest.mark.parametrize("n", [3, 6, 12])
+    def test_a_plan_entry_off_by_one_raises(self, n, monkeypatch):
+        # A wrong entry leaves a remainder in the exact division instead of
+        # giving a wrong coefficient.
+        powers, rows, den = _square_plan(n)
+        w = _x_pow(n, 4000)
+        for i, j in ((0, 0), (n // 2, n), (n - 1, 2 * n - 2)):
+            bad = [list(row) for row in rows]
+            bad[i][j] += 1
+            monkeypatch.setattr(nstep_seq, "_square_plan", lambda n: (powers, bad, den))
+            with pytest.raises(ArithmeticError, match="inexact division"):
+                _square_at_points(w)
+
+    @pytest.mark.parametrize("n, first", [
+        (3, 14_200), (6, 12_300), (12, 12_300), (3, -28_100), (6, -48_000)])
+    def test_term_fast_matches_term_where_it_squares_at_points(self, n, first):
+        # Four consecutive k take every residue of k-1 mod 4: both parities
+        # of u, so with and without the shift by x, and both Hankel forms.
+        for k in range(first, first + 4):
+            assert _x_pow(n, (k - 1) // 2 >> 1)[-1].bit_length() > _POINTS_FROM_BITS
+            for conv in (CLASSIC, custom(range(-2, n - 2))):
+                assert term_fast(n, conv, k) == term(n, conv, k), (n, k)
+
+
 class TestEngineProperties:
     @given(seq=SEQUENCES, k=st.integers(-3000, 3000))
     def test_term_fast_matches_term(self, seq, k):
@@ -257,6 +310,17 @@ class TestEngineProperties:
         conv = custom(seeds)
         for index in (k, k + 1):
             assert term_fast(len(seeds), conv, index) == term(len(seeds), conv, index)
+
+    @given(seq=st.integers(2, 12).flatmap(lambda n: st.tuples(st.just(n), _conventions(n))),
+           k=st.integers(-3000, 3000))
+    def test_term_fast_matches_term_when_every_square_is_at_points(self, seq, k):
+        # With no size floor term_fast squares at points at every k from
+        # n = 3 on; k..k+3 take every residue of k-1 mod 4, and k < 1 too.
+        n, conv = seq
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(nstep_seq, "_POINTS_FROM_BITS", -1)
+            for index in range(k, k + 4):
+                assert term_fast(n, conv, index) == term(n, conv, index)
 
     @given(seq=SEQUENCES,
            lo=st.one_of(st.integers(-3000, 3000), st.integers(-25, 10)),

@@ -134,7 +134,7 @@ MUTANTS = (
      "dot * dot + prev * value",
      "dot * dot + value"),
     ("hankel-division-check-dropped", "src/nstepdet/nstep_seq.py",
-     'raise ArithmeticError("inexact division in the Hankel form reduction")',
+     'raise ArithmeticError("inexact division in term_fast")',
      "pass"),
     ("unused-flag-check-dropped", "src/nstepdet/cli.py",
      "if unused:",
@@ -196,6 +196,21 @@ MUTANTS = (
     ("early-floor-check-dropped", "src/nstepdet/cli.py",
      "check_at_least(1, r=r, **offsets)",
      "pass"),
+    ("points-plan-entry-off-by-one", "src/nstepdet/nstep_seq.py",
+     "return powers, rows, den",
+     "return powers, ((rows[0][0] + 1,) + rows[0][1:],) + rows[1:], den"),
+    ("points-odd-shift-dropped", "src/nstepdet/nstep_seq.py",
+     "if u & 1:",
+     "if False:"),
+    ("points-remainder-check-dropped", "src/nstepdet/nstep_seq.py",
+     "_exact_div(sum(map(mul, row, squares)), den)",
+     "sum(map(mul, row, squares)) // den"),
+    ("points-infinity-takes-a-finite-value", "src/nstepdet/nstep_seq.py",
+     "values[-1] = w[-1]",
+     "values[-1] = w[-2]"),
+    ("gen-docagne-rhs-at-r-minus-one", "src/nstepdet/identities.py",
+     "term_fast(n, PAPER_POWERS, r)",
+     "term_fast(n, PAPER_POWERS, r - 1)"),
 )
 
 _SKIP = shutil.ignore_patterns(
