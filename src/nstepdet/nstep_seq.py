@@ -33,8 +33,8 @@ of values at fixed integer points and infinity instead of n(n+1)/2
 memoized, and an exact division). The iterative ``term`` stays the
 independent oracle the engine is checked against; the two must agree at
 every index. At k = 10^6 on one core of a shared 2-core x86-64 VM (Python
-3.11, best of 27 calls in nine processes), ``term_fast`` takes 0.039 s for
-n = 2, 0.096 s for n = 3, 0.29 s for n = 6 and 0.69 s for n = 12.
+3.11, best of 27 calls in nine processes), ``term_fast`` takes 0.043 s for
+n = 2, 0.11 s for n = 3, 0.33 s for n = 6 and 0.83 s for n = 12.
 """
 
 from __future__ import annotations
