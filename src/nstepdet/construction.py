@@ -29,9 +29,10 @@ Three builders and two checkers make up the machinery:
                            takes the last column, which every minor keeps,
                            as its first pivot, so that step is done once
                            per extension; minors that share their next
-                           kept columns share those steps too, and each
-                           value is still the last pivot of its own
-                           minor's elimination. The same walk over P's
+                           kept columns share those steps too, the last
+                           step of each minor is done in its parent's node,
+                           and each value is still the last pivot of its
+                           own minor's elimination. The same walk over P's
                            columns, bordered so that each band submatrix
                            is such a minor, gives every band determinant
                            of the cell. The per-deletion ``check_prop1``
@@ -229,10 +230,13 @@ class Prop1Cell:
     fraction-free elimination of its own columns, shared between minors only
     where their kept columns agree (``_kept_minor_dets``: one walk per
     extension, and one per cell over P's transpose bordered by a zero column
-    and a last row e_(n+r)), never derived from the rule it checks;
-    ``det_bareiss`` takes only det(a). So a batch of matrices is
-    ``map(cell, mats)``, and a caller can make each matrix just before it is
-    checked.
+    and a last row e_(n+r)), never derived from the rule it checks; each
+    kept-column prefix reduces its later candidates once, and the last
+    step of every minor is done in its parent's node. ``det_bareiss`` takes
+    only det(a). The deletions' kept columns come from ``combinations`` too,
+    in reverse order, and each pair's signs are cross-checked. So a batch of
+    matrices is ``map(cell, mats)``, and a caller can make each matrix just
+    before it is checked.
     """
 
     __slots__ = ("n", "r", "deletions", "_parts")
@@ -249,11 +253,11 @@ class Prop1Cell:
         self.n, self.r = n, r
         self.deletions = tuple(combinations(range(1, n + r), r))
         # (deleted, kept columns but the last, sign, det Q) per deletion.
-        self._parts = []
-        for deleted in self.deletions:
-            kept = _kept(n, r, deleted)
-            self._parts.append(
-                (deleted, kept, _checked_sign(n, r, deleted, kept), det_qs[deleted]))
+        # The complements of the deletions, in lexicographic order, are the
+        # (n-1)-subsets in reverse lexicographic order.
+        kepts = reversed(tuple(combinations(range(1, n + r), n - 1)))
+        self._parts = [(deleted, kept, _checked_sign(n, r, deleted, kept), det_qs[deleted])
+                       for deleted, kept in zip(self.deletions, kepts)]
 
     def __call__(self, a: IntMatrix) -> list[Prop1Record]:
         n, r = self.n, self.r
@@ -282,13 +286,17 @@ def _kept_minor_dets(ext_rows: list[list[int]]) -> dict[tuple[int, ...], int]:
     prefixes does every minor's elimination: the root reduces every other
     column against the last one, and each node takes its newest kept column
     as the pivot and reduces the later candidate columns once against it.
-    At a node that has one column left to keep, each candidate's one
-    remaining entry, times the sign, is that minor's determinant, the last
-    pivot of its own elimination. A zero pivot swaps the same two
-    coordinates in every vector of the subtree, which is one row interchange
-    of each of its minors, and flips their sign; a reduced pivot vector that
-    is all zero makes every minor below it 0. The walk keeps an explicit
-    stack, so its depth is not bounded by the recursion limit.
+    A node that has two columns left to keep also does each child's step
+    in place: a child's pivot vector (a, b) and each later candidate (f, x)
+    give (x*a - f*b) / p, p this node's pivot, so the nodes of the last
+    level are never made. That value, times the sign, is the minor's
+    determinant, the last pivot of its own elimination (at n = 2 the root's
+    candidates hold it). A zero pivot swaps the same two coordinates in
+    every vector of the subtree, which is one row interchange of each of its
+    minors, and flips their sign; a reduced pivot vector that is all zero
+    makes every minor below it 0. Every division checks its remainder. The
+    walk keeps an explicit stack, so its depth is not bounded by the
+    recursion limit.
     """
     n = len(ext_rows)
     *columns, last = zip(*ext_rows)
@@ -311,6 +319,30 @@ def _kept_minor_dets(ext_rows: list[list[int]]) -> dict[tuple[int, ...], int]:
         if not more:
             for col, u in zip(cols, vecs):
                 dets[kept + (col,)] = sign * u[0]
+            continue
+        if more == 1:
+            # Each child's one step, done here: its pivot vector (a, b) and
+            # each later candidate (f, x), both reduced against this node's
+            # pivot p, give the minor (x*a - f*b) / p.
+            p = pivot[0]
+            for pos, (a, b) in enumerate(vecs[:-1]):
+                prefix = kept + (cols[pos],)
+                later = zip(cols[pos + 1:], vecs[pos + 1:])
+                if not a:
+                    if not b:
+                        for col in cols[pos + 1:]:
+                            dets[prefix + (col,)] = 0
+                        continue
+                    a, b, s = b, 0, -sign
+                    later = ((col, (x, f)) for col, (f, x) in later)
+                else:
+                    s = sign
+                for col, (f, x) in later:
+                    quot, rem = divmod(x * a - f * b, p)
+                    if rem:
+                        raise ArithmeticError(
+                            "inexact division in fraction-free elimination")
+                    dets[prefix + (col,)] = s * quot
             continue
         for pos in range(len(cols) - more):
             stack.append((kept + (cols[pos],), cols[pos + 1:], vecs[pos + 1:],

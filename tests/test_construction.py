@@ -359,12 +359,22 @@ class TestCheckProp1All:
         [[1, 1, 2], [2, 2, 3], [3, 3, 5]],
         [[1, 2, 3], [2, 4, 6], [1, 1, 1]],
         [[0, 1], [0, 2]],
+        [[0, 0, 3], [3, 0, -1], [0, 3, 0]],
+        [[-2, 0, 0, -1], [-1, -2, -2, 1], [3, 0, 0, -2], [1, -2, 0, -2]],
+        [[0, 0, 2], [1, 0, -1], [2, 0, -1]],
+        [[0, 1, 0, 0], [0, -1, 2, 0], [0, 1, 1, 0], [0, 2, 0, 0]],
     ], ids=["zero-first-row", "leading-zeros-in-first-row", "order-4-swaps",
-            "equal-columns", "proportional-rows", "zero-column"])
+            "equal-columns", "proportional-rows", "zero-column",
+            "last-step-zero-then-nonzero", "order-4-last-step-zero-then-nonzero",
+            "last-step-two-zeros", "order-4-last-step-two-zeros"])
     def test_zero_pivots_against_laplace(self, rows):
         # A zero first row makes every first pivot zero; leading zeros force
         # swaps among nonzero minors (so a lost sign shows); equal columns
-        # reduce a pivot vector to all zeros below a shared prefix.
+        # reduce a pivot vector to all zeros below a shared prefix. The last
+        # four put the zero pivot on a minor's last step, which its parent
+        # node does: a zero first entry with a nonzero second swaps, with
+        # nonzero minors after the swap at every r here, and two zeros make
+        # the minors below it 0.
         for r in (1, 2, 3, 4):
             assert_minors_match_laplace(M(rows), r)
 
@@ -403,15 +413,46 @@ class TestCheckProp1All:
         proc = run_child(code, "-O")
         assert proc.returncode == 0, proc.stderr
 
+    def test_folded_step_division_check_survives_optimize_flag(self):
+        # The root's step is faked to leave the pivot vector (1, 0) and the
+        # candidate (0, 1) against the root's pivot 2: the folded last step
+        # (1*1 - 0*0) / 2 is inexact and must raise, also under -O.
+        code = textwrap.dedent("""
+            import sys
+            from nstepdet import construction
+            if not sys.flags.optimize:
+                sys.exit(3)
+            construction._eliminate = lambda vecs, pivot, prev: [[1, 0], [0, 1]]
+            try:
+                construction._kept_minor_dets([[0, 0, 2], [0, 0, 0], [0, 0, 0]])
+            except ArithmeticError:
+                sys.exit(0)
+            sys.exit(1)
+        """)
+        proc = run_child(code, "-O")
+        assert proc.returncode == 0, proc.stderr
+
+    def test_kept_columns_are_the_complements(self):
+        # A cell pairs its deletions with the (n-1)-subsets in reverse
+        # order; each pair must be a deletion and its complement.
+        for n in range(2, 8):
+            for r in range(1, 8):
+                parts = Prop1Cell(n, r)._parts
+                assert len(parts) == len(list(combinations(range(1, n + r), r)))
+                for deleted, kept, _, _ in parts:
+                    assert kept == construction._kept(n, r, deleted), (n, r, deleted)
+
     def test_one_elimination_per_kept_prefix(self, monkeypatch):
         # Every minor keeps the last column, so the walk reduces the other
         # columns against it once, at the root, and each kept-column prefix
-        # of length 1..n-2 reduces its later candidates once: no call per
-        # minor. Large random entries give no zero pivot, so each prefix that
-        # leaves room for the rest of a minor makes exactly one call. In an
-        # extension the recurrence can make a prefix dependent (at n = 5,
-        # r = 3, column 8 is 2 * column 7 - column 2), which ends its
-        # subtree early.
+        # of length 1..n-3 reduces its later candidates once. A prefix of
+        # length n-3 also does each child's last step itself, so prefixes of
+        # length n-2 make no call, and there is no call per minor; at n = 2
+        # the root alone makes one. Large random entries give no zero pivot,
+        # so each prefix that leaves room for the rest of a minor makes
+        # exactly one call. In an extension the recurrence can make a prefix
+        # dependent (at n = 5, r = 3, column 8 is 2 * column 7 - column 2),
+        # which ends its subtree early.
         calls = []
         eliminate = construction._eliminate
 
@@ -424,7 +465,7 @@ class TestCheckProp1All:
         for n in range(2, 7):
             for r in range(1, 6):
                 m = n + r
-                prefixes = sum(1 for t in range(n - 1)
+                prefixes = sum(1 for t in range(max(n - 2, 1))
                                for p in combinations(range(1, m), t)
                                if m - 1 - (p[-1] if p else 0) >= n - 1 - t)
                 rows = [[rng.randint(-10**12, 10**12) for _ in range(m)]

@@ -151,3 +151,50 @@ def test_point_square_mutants_are_catalogued():
     assert {"points-plan-entry-off-by-one", "points-odd-shift-dropped",
             "points-remainder-check-dropped", "points-infinity-takes-a-finite-value",
             "gen-docagne-rhs-at-r-minus-one"} <= names
+
+
+def test_walk_fold_mutants_are_catalogued():
+    # A node with two columns left to keep does each child's last step in
+    # place: a swap that keeps the sign, a step divided by the previous
+    # pivot instead of the node's, a step whose remainder goes unchecked,
+    # an all-zero pivot vector whose minors read 1, and kept columns paired
+    # with the deletions in the wrong order must fail.
+    names = {m[0] for m in mutants.MUTANTS}
+    assert {"walk-fold-swap-sign-kept", "walk-fold-divides-by-prev",
+            "walk-fold-remainder-check-dropped", "walk-fold-zero-subtree-one",
+            "kept-complements-not-reversed"} <= names
+
+
+@pytest.fixture
+def fake_runs(monkeypatch):
+    """Replace the pytest runs with a log: the unmutated copy passes and
+    every mutant is killed, without running anything."""
+    runs = []
+
+    def run_tests(mutant):
+        runs.append(mutant)
+        return (0 if mutant is None else 1), "", 0.0
+
+    monkeypatch.setattr(mutants, "run_tests", run_tests)
+    return runs
+
+
+def test_named_mutants_are_the_only_ones_judged(fake_runs, capsys):
+    # Names are judged in catalogue order, after the unmutated copy.
+    first, last = mutants.MUTANTS[0], mutants.MUTANTS[-1]
+    assert mutants.main([last[0], first[0]]) == 0
+    assert fake_runs == [None, first[1:], last[1:]]
+    out = capsys.readouterr().out.splitlines()
+    assert [line.split()[:2] for line in out[1:]] == [
+        ["killed", first[0]], ["killed", last[0]]]
+
+
+def test_no_name_judges_the_whole_catalogue(fake_runs):
+    assert mutants.main([]) == 0
+    assert fake_runs == [None, *(m[1:] for m in mutants.MUTANTS)]
+
+
+def test_unknown_name_exits_2_before_any_run(fake_runs, capsys):
+    assert mutants.main([mutants.MUTANTS[0][0], "no-such-mutant"]) == 2
+    assert fake_runs == []
+    assert "no-such-mutant" in capsys.readouterr().err

@@ -10,7 +10,9 @@ fix the tests, never loosen or drop the mutant. A refactor that moves or
 rewrites an old text updates the catalogue (``tests/test_mutants.py``
 fails until it does).
 
-Usage (stdlib only, run from anywhere): ``python tools/mutants.py``.
+Usage (stdlib only, run from anywhere): ``python tools/mutants.py [NAME ...]``.
+With no name every mutant is judged; with names, only those, in catalogue
+order. A name not in the catalogue exits 2 before anything runs.
 
 The unmutated copy is run first and must pass, or no mutant is judged
 (exit 2). Then one line per mutant names the first test that failed; the
@@ -44,8 +46,8 @@ MUTANTS = (
      "[1] * n + [-1] + [0] * r",
      "[1] * n + [0] + [0] * r"),
     ("batch-sign-check-removed", "src/nstepdet/construction.py",
-     "_checked_sign(n, r, deleted, kept), det_qs[deleted]))",
-     "_deleted_sign(n, r, deleted), det_qs[deleted]))"),
+     "_checked_sign(n, r, deleted, kept), det_qs[deleted])",
+     "_deleted_sign(n, r, deleted), det_qs[deleted])"),
     ("kept-complement-keeps-a-deleted-column", "src/nstepdet/construction.py",
      "gone = set(deleted)",
      "gone = set(deleted[1:])"),
@@ -100,6 +102,21 @@ MUTANTS = (
     ("minor-walk-leaf-unsigned", "src/nstepdet/construction.py",
      "dets[kept + (col,)] = sign * u[0]",
      "dets[kept + (col,)] = u[0]"),
+    ("walk-fold-swap-sign-kept", "src/nstepdet/construction.py",
+     "a, b, s = b, 0, -sign",
+     "a, b, s = b, 0, sign"),
+    ("walk-fold-divides-by-prev", "src/nstepdet/construction.py",
+     "divmod(x * a - f * b, p)",
+     "divmod(x * a - f * b, prev)"),
+    ("walk-fold-zero-subtree-one", "src/nstepdet/construction.py",
+     "dets[prefix + (col,)] = 0",
+     "dets[prefix + (col,)] = 1"),
+    ("walk-fold-remainder-check-dropped", "src/nstepdet/construction.py",
+     "if rem:\n                        raise",
+     "if False:\n                        raise"),
+    ("kept-complements-not-reversed", "src/nstepdet/construction.py",
+     "kepts = reversed(tuple(combinations(range(1, n + r), n - 1)))",
+     "kepts = tuple(combinations(range(1, n + r), n - 1))"),
     ("seq-decimal-default-precision", "src/nstepdet/cli.py",
      "prec=decimal.MAX_PREC,",
      "prec=28,"),
@@ -247,7 +264,12 @@ def run_tests(mutant: tuple[str, str, str] | None) -> tuple[int | None, str, flo
         return proc.returncode, failed, time.perf_counter() - started
 
 
-def main() -> int:
+def main(names: list[str]) -> int:
+    unknown = sorted(set(names) - {m[0] for m in MUTANTS})
+    if unknown:
+        print(f"not in the catalogue: {', '.join(unknown)}", file=sys.stderr)
+        return 2
+    chosen = [m for m in MUTANTS if not names or m[0] in names]
     # A copy that already fails would make every mutant look killed.
     code, failed, seconds = run_tests(None)
     if code != 0:
@@ -257,7 +279,7 @@ def main() -> int:
         return 2
     print(f"passed   unmutated tree ({seconds:.1f} s)", flush=True)
     survivors = []
-    for name, path, old, new in MUTANTS:
+    for name, path, old, new in chosen:
         code, failed, seconds = run_tests((path, old, new))
         # A hang is not a clean kill: a timeout counts as surviving.
         killed = code not in (0, None)
@@ -272,4 +294,4 @@ def main() -> int:
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(main(sys.argv[1:]))
