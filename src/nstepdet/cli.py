@@ -134,11 +134,15 @@ _PROP1_DEFAULTS = {"n": "2..3", "trials": 20, "bound": 9, "seed": 0}
 _BENCH_DEFAULTS = {"n": 2, "k": "100000", "order": "6", "trials": 10, "bound": 9,
                    "convention": "classic", "seed": 0}
 
+# The least value of each such flag that has one, checked in this order.
+_FLAG_FLOORS = {"trials": 1, "bound": 0}
+
 
 def _resolve_flags(args: argparse.Namespace, defaults: dict, used: set[str]) -> None:
     """Reject each flag of ``defaults`` given explicitly that this run does
     not read (``used`` names those it reads), then set those left out to
-    their defaults."""
+    their defaults, then check each flag it reads against its floor in
+    ``_FLAG_FLOORS``."""
     unused = [f"--{name}" for name in defaults
               if name not in used and getattr(args, name) is not None]
     if unused:
@@ -146,6 +150,9 @@ def _resolve_flags(args: argparse.Namespace, defaults: dict, used: set[str]) -> 
     for name, value in defaults.items():
         if getattr(args, name) is None:
             setattr(args, name, value)
+    for name, least in _FLAG_FLOORS.items():
+        if name in used:
+            check_at_least(least, **{name: getattr(args, name)})
 
 
 def _comb_past(m: int, k: int, limit: int) -> int:
@@ -261,7 +268,11 @@ def _template(fmt: str, case: dict, passed: bool) -> list[str]:
     a ``_HOLE`` for each of its ints, a deleted column among them. A case's
     keys come in the order of the CSV columns, so every line function writes
     its values in the case's order, and a record of that shape is the pieces
-    with its ints and then its two spelled sides between them, in order."""
+    with its ints and then its two spelled sides between them, in order. A
+    case whose keys are not in that order is a fault of the program, so it
+    raises RuntimeError, before any line of its shape is written."""
+    if list(case) != [field for field in _CSV_FIELDS if field in case]:
+        raise RuntimeError(f"case keys {list(case)} are not in the CSV columns' order")
     hole = _SPELLING[fmt][0]
     return _LINES[fmt](_record_dict(case, _HOLE, _HOLE, passed)).split(hole)
 
@@ -479,8 +490,6 @@ def cmd_verify(args: argparse.Namespace) -> int:
         base_matrix = parse_matrix(args.matrix)
     _resolve_flags(args, _VERIFY_DEFAULTS,
                    set().union(*(_verify_uses(kind, base_matrix) for kind in kinds)))
-    check_at_least(1, trials=args.trials)
-    check_at_least(0, bound=args.bound)
     if args.convention == "both":
         conventions = tuple(_CONVENTIONS.values())
     else:
@@ -530,8 +539,6 @@ def cmd_prop1(args: argparse.Namespace) -> int:
     base_matrix = parse_matrix(args.matrix) if args.matrix is not None else None
     _resolve_flags(args, _PROP1_DEFAULTS,
                    set() if base_matrix is not None else set(_PROP1_DEFAULTS))
-    check_at_least(1, trials=args.trials)
-    check_at_least(0, bound=args.bound)
     r_values = parse_range(args.r)
     if base_matrix is not None:
         n_values = [check_square("--matrix", base_matrix)]
@@ -607,8 +614,6 @@ def cmd_bench(args: argparse.Namespace) -> int:
                         "convention": args.convention}
                 yield case, fast, slow
     else:  # bareiss-vs-laplace
-        check_at_least(1, trials=args.trials)
-        check_at_least(0, bound=args.bound)
         orders = parse_sizes(args.order)
         count = _size(orders) * args.trials
         _check_cap(count, "records", "--order or --trials")

@@ -17,15 +17,18 @@ Three builders and two checkers make up the machinery:
                            of the band submatrix in the deleted rows, times
                            the determinant of the original matrix.
 * ``Prop1Cell``         -- the same rule for every deletion, one order n
-                           and one r: P and each deletion's kept columns,
-                           sign and band determinant are made once, when
-                           the cell is, and calling the cell on a matrix
-                           gives that matrix's records, its extension and
+                           and one r: P and each deletion's sign and band
+                           determinant are made once, when the cell is,
+                           and calling the cell on a matrix gives that
+                           matrix's records, its extension and
                            determinant taken once; a batch of matrices is
                            ``map(Prop1Cell(n, r), mats)``. All minors of
                            one extension come from one fraction-free walk
                            over kept-column prefixes
-                           (``_kept_minor_dets``). Each minor's elimination
+                           (``_kept_minor_dets``), as a list in
+                           ``combinations`` order of their kept columns,
+                           which the cell pairs with its deletions by
+                           position. Each minor's elimination
                            takes the last column, which every minor keeps,
                            as its first pivot, so that step is done once
                            per extension; minors that share their next
@@ -53,6 +56,7 @@ from __future__ import annotations
 from collections import namedtuple
 from collections.abc import Iterable, Sequence
 from itertools import combinations
+from math import comb
 
 from .exact_linalg import (
     DimensionError,
@@ -219,9 +223,9 @@ def check_prop1(a: IntMatrix, r: int, deleted: Iterable[int]) -> Prop1Record:
 class Prop1Cell:
     """The part of the product rule for one order n and extension length r
     that does not depend on the matrix: every deletion, in ``combinations``
-    order, with its kept columns, its sign (cross-checked) and its det Q,
-    all made when the cell is. n and r are validated there, once; the
-    deletions come from ``combinations``, so none is validated again.
+    order, with its sign (cross-checked) and its det Q, all made when the
+    cell is. n and r are validated there, once; the deletions come from
+    ``combinations``, so none is validated again.
 
     Calling the cell on an n x n matrix ``a`` gives ``[check_prop1(a, r, d)
     for d in cell.deletions]``, and a matrix of another order or shape
@@ -233,8 +237,13 @@ class Prop1Cell:
     and a last row e_(n+r)), never derived from the rule it checks; each
     kept-column prefix reduces its later candidates once, and the last
     step of every minor is done in its parent's node. ``det_bareiss`` takes
-    only det(a). The deletions' kept columns come from ``combinations`` too,
-    in reverse order, and each pair's signs are cross-checked. So a batch of
+    only det(a). Each walk's values come in ``combinations`` order of their
+    kept columns and are paired with the deletions by position: det Q's keep
+    the deleted rows, so they come in the deletions' order, and the minors
+    keep the complements, which come in reverse order. A walk that gives
+    more or fewer values than the cell has deletions raises
+    ``ArithmeticError``. The kept columns, also from ``combinations`` in
+    reverse order, only cross-check each deletion's sign. So a batch of
     matrices is ``map(cell, mats)``, and a caller can make each matrix just
     before it is checked.
     """
@@ -244,38 +253,45 @@ class Prop1Cell:
     def __init__(self, n: int, r: int):
         check_at_least(2, n=n)
         check_at_least(1, r=r)
+        self.n, self.r = n, r
+        self.deletions = tuple(combinations(range(1, n + r), r))
         # The walk's rows are P's columns, each followed by a 0, then
         # e_(n+r). Its minor that keeps columns d and the last is
         # [[Q^T, 0], [0, 1]] for Q = P's rows d, so its determinant is det Q.
         p = build_P(n, r)
-        det_qs = _kept_minor_dets([[*p.column(j), 0] for j in range(1, r + 1)]
-                                  + [[0] * (n + r - 1) + [1]])
-        self.n, self.r = n, r
-        self.deletions = tuple(combinations(range(1, n + r), r))
-        # (deleted, kept columns but the last, sign, det Q) per deletion.
-        # The complements of the deletions, in lexicographic order, are the
-        # (n-1)-subsets in reverse lexicographic order.
+        det_qs = self._walk([[*p.column(j), 0] for j in range(1, r + 1)]
+                            + [[0] * (n + r - 1) + [1]])
+        # (deleted, sign, det Q) per deletion. The complements of the
+        # deletions, in lexicographic order, are the (n-1)-subsets in
+        # reverse lexicographic order.
         kepts = reversed(tuple(combinations(range(1, n + r), n - 1)))
-        self._parts = [(deleted, kept, _checked_sign(n, r, deleted, kept), det_qs[deleted])
-                       for deleted, kept in zip(self.deletions, kepts)]
+        self._parts = [(deleted, _checked_sign(n, r, deleted, kept), det_q)
+                       for deleted, kept, det_q in zip(self.deletions, kepts, det_qs)]
 
     def __call__(self, a: IntMatrix) -> list[Prop1Record]:
         n, r = self.n, self.r
         if check_square("Prop1Cell", a) != n:
             raise DimensionError(
                 f"this cell needs an order-{n} matrix, got {a.rows}x{a.cols}")
-        dets = _kept_minor_dets(extend_columns(a, r).to_rows())
+        minors = reversed(self._walk(extend_columns(a, r).to_rows()))
         det_a = det_bareiss(a)
-        return [Prop1Record(n, r, deleted, dets[kept], sign, det_q, det_a)
-                for deleted, kept, sign, det_q in self._parts]
+        return [Prop1Record(n, r, deleted, minor, sign, det_q, det_a)
+                for (deleted, sign, det_q), minor in zip(self._parts, minors)]
+
+    def _walk(self, rows: list[list[int]]) -> list[int]:
+        """``_kept_minor_dets(rows)``, checked to hold one value per deletion."""
+        dets = _kept_minor_dets(rows)
+        if len(dets) == len(self.deletions):
+            return dets
+        raise ArithmeticError(f"a walk gave {len(dets)} values for {len(self.deletions)} deletions")
 
 
-def _kept_minor_dets(ext_rows: list[list[int]]) -> dict[tuple[int, ...], int]:
+def _kept_minor_dets(ext_rows: list[list[int]]) -> list[int]:
     """The determinant of every n x n minor of an n x m matrix that keeps
-    its last column, keyed by its other n-1 kept columns (1-based).
-    ``Prop1Cell`` passes it each n x (n+r) extension, and for det Q
-    the (r+1) x (n+r) transpose of P bordered by a zero column and a last
-    row e_(n+r).
+    its last column, in lexicographic order of its other n-1 kept columns:
+    the order of ``combinations(range(1, m), n - 1)``. ``Prop1Cell`` passes
+    it each n x (n+r) extension, and for det Q the (r+1) x (n+r) transpose
+    of P bordered by a zero column and a last row e_(n+r).
 
     A minor's transpose has the kept columns as its rows. Moving the last
     column's row to the top takes n-1 row interchanges, so the minor is
@@ -296,29 +312,29 @@ def _kept_minor_dets(ext_rows: list[list[int]]) -> dict[tuple[int, ...], int]:
     minors, and flips their sign; a reduced pivot vector that is all zero
     makes every minor below it 0. Every division checks its remainder. The
     walk keeps an explicit stack, so its depth is not bounded by the
-    recursion limit.
+    recursion limit. A node's minors are the ones that share its kept
+    prefix, so they are contiguous in the order; it pushes its children in
+    reverse so that they pop, and append their minors, in order.
     """
     n = len(ext_rows)
     *columns, last = zip(*ext_rows)
-    dets = {}
-    # (kept prefix, later candidate columns, their vectors, the pivot vector
-    #  they are reduced against next, previous pivot, sign); the vectors of
-    #  an entry with t kept columns have n-t entries.
-    stack = [((), tuple(range(1, len(columns) + 1)), columns, last, 1, (-1) ** (n - 1))]
+    dets = []
+    # (later candidate columns' vectors, the pivot vector they are reduced
+    #  against next, previous pivot, sign, columns still to keep after the
+    #  next one); the vectors of an entry with t kept columns have n-t
+    #  entries.
+    stack = [(columns, last, 1, (-1) ** (n - 1), n - 2)]
     while stack:
-        kept, cols, vecs, pivot, prev, sign = stack.pop()
-        more = n - 2 - len(kept)  # columns still to keep after the next one
+        vecs, pivot, prev, sign, more = stack.pop()
         if not pivot[0]:
             i = next((i for i, x in enumerate(pivot) if x), 0)
             if not i:
-                for rest in combinations(cols, more + 1):
-                    dets[kept + rest] = 0
+                dets += [0] * comb(len(vecs), more + 1)
                 continue
             pivot, vecs, sign = _swap(pivot, i), [_swap(u, i) for u in vecs], -sign
         vecs = _eliminate(vecs, pivot, prev)
         if not more:
-            for col, u in zip(cols, vecs):
-                dets[kept + (col,)] = sign * u[0]
+            dets += [sign * u[0] for u in vecs]
             continue
         if more == 1:
             # Each child's one step, done here: its pivot vector (a, b) and
@@ -326,27 +342,22 @@ def _kept_minor_dets(ext_rows: list[list[int]]) -> dict[tuple[int, ...], int]:
             # pivot p, give the minor (x*a - f*b) / p.
             p = pivot[0]
             for pos, (a, b) in enumerate(vecs[:-1]):
-                prefix = kept + (cols[pos],)
-                later = zip(cols[pos + 1:], vecs[pos + 1:])
+                later, s = vecs[pos + 1:], sign
                 if not a:
                     if not b:
-                        for col in cols[pos + 1:]:
-                            dets[prefix + (col,)] = 0
+                        dets += [0] * len(later)
                         continue
                     a, b, s = b, 0, -sign
-                    later = ((col, (x, f)) for col, (f, x) in later)
-                else:
-                    s = sign
-                for col, (f, x) in later:
+                    later = ((x, f) for f, x in later)
+                for f, x in later:
                     quot, rem = divmod(x * a - f * b, p)
                     if rem:
                         raise ArithmeticError(
                             "inexact division in fraction-free elimination")
-                    dets[prefix + (col,)] = s * quot
+                    dets.append(s * quot)
             continue
-        for pos in range(len(cols) - more):
-            stack.append((kept + (cols[pos],), cols[pos + 1:], vecs[pos + 1:],
-                          vecs[pos], pivot[0], sign))
+        for pos in reversed(range(len(vecs) - more)):
+            stack.append((vecs[pos + 1:], vecs[pos], pivot[0], sign, more - 1))
     return dets
 
 

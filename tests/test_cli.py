@@ -24,12 +24,15 @@ from nstepdet.cli import (
     EXIT_USAGE,
     _CSV_FIELDS,
     _BLOCK,
+    _HOLE,
     _comb_past,
     _csv_line,
     _elide,
     _prop1_lines,
     _record_dict,
+    _record_lines,
     _table_line,
+    _template,
     canonical_json,
     main,
     parse_range,
@@ -1245,6 +1248,26 @@ class TestCaseLayout:
             assert keys == [field for field in _CSV_FIELDS if field in keys], keys
             layouts.add(" ".join(keys))
         assert layouts == self.LAYOUTS[argv]
+
+    @pytest.mark.parametrize("fmt", ["json", "csv", "table"])
+    def test_misordered_case_raises_where_its_template_is_made(self, fmt):
+        # The CSV fill relies on a case's keys coming in the CSV columns'
+        # order: a case that breaks it, or that holds a key with no column,
+        # is a program fault and raises RuntimeError (not a usage error)
+        # naming its keys, at its shape's first record, before any line.
+        ordered = {"kind": "bench", "task": "bareiss-vs-laplace", "order": _HOLE,
+                   "trial": _HOLE}
+        assert len(_template(fmt, ordered, True)) == 5
+        misordered = {"kind": "bench", "task": "bareiss-vs-laplace", "trial": _HOLE,
+                      "order": _HOLE}
+        with pytest.raises(RuntimeError,
+                           match=r"^case keys \['kind', 'task', 'trial', 'order'\] "):
+            _template(fmt, misordered, True)
+        lines = _record_lines(fmt, iter([({**misordered, "trial": 1, "order": 2}, 3, 3)]))
+        with pytest.raises(RuntimeError, match="not in the CSV columns' order"):
+            next(lines)
+        with pytest.raises(RuntimeError, match=r"\['kind', 'colour'\]"):
+            _template(fmt, {"kind": "bench", "colour": "red"}, False)
 
 
 class TestGoldenReports:

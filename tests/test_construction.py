@@ -432,15 +432,46 @@ class TestCheckProp1All:
         proc = run_child(code, "-O")
         assert proc.returncode == 0, proc.stderr
 
-    def test_kept_columns_are_the_complements(self):
+    def test_kept_columns_are_the_complements(self, monkeypatch):
         # A cell pairs its deletions with the (n-1)-subsets in reverse
-        # order; each pair must be a deletion and its complement.
+        # order to cross-check their signs; each pair it hands the sign
+        # check must be a deletion and its complement, every deletion once.
+        pairs = []
+        checked_sign = construction._checked_sign
+
+        def recorded(n, r, deleted, kept):
+            pairs.append((deleted, kept))
+            return checked_sign(n, r, deleted, kept)
+
+        monkeypatch.setattr(construction, "_checked_sign", recorded)
         for n in range(2, 8):
             for r in range(1, 8):
-                parts = Prop1Cell(n, r)._parts
-                assert len(parts) == len(list(combinations(range(1, n + r), r)))
-                for deleted, kept, _, _ in parts:
+                pairs.clear()
+                cell = Prop1Cell(n, r)
+                assert [deleted for deleted, _ in pairs] == list(cell.deletions)
+                assert cell.deletions == tuple(combinations(range(1, n + r), r))
+                for deleted, kept in pairs:
                     assert kept == construction._kept(n, r, deleted), (n, r, deleted)
+
+    @pytest.mark.parametrize("shift", [-1, 1], ids=["one-short", "one-over"])
+    def test_walk_count_must_match_the_deletions(self, monkeypatch, shift):
+        # The cell pairs each walk's values with its deletions by position:
+        # a walk that gives one value too few or too many must raise, on
+        # the det Q walk when the cell is made and on a matrix's walk when
+        # it is called, never drop or misplace a record.
+        walk = construction._kept_minor_dets
+
+        def miscounted(rows):
+            dets = walk(rows)
+            return dets[:-1] if shift < 0 else dets + [0]
+
+        a = M([[2, 1, 0], [1, 3, 1], [0, 1, 4]])
+        cell = Prop1Cell(3, 2)
+        monkeypatch.setattr(construction, "_kept_minor_dets", miscounted)
+        with pytest.raises(ArithmeticError, match="a walk gave"):
+            Prop1Cell(3, 2)
+        with pytest.raises(ArithmeticError, match="a walk gave"):
+            cell(a)
 
     def test_one_elimination_per_kept_prefix(self, monkeypatch):
         # Every minor keeps the last column, so the walk reduces the other
@@ -474,12 +505,51 @@ class TestCheckProp1All:
                 dets = construction._kept_minor_dets(rows)
                 assert len(calls) == prefixes, (n, r)
                 wide = M(rows)
-                assert dets == {kept: det_bareiss(select_columns(wide, kept + (m,)))
-                                for kept in combinations(range(1, m), n - 1)}, (n, r)
+                assert dets == [det_bareiss(select_columns(wide, kept + (m,)))
+                                for kept in combinations(range(1, m), n - 1)], (n, r)
                 calls.clear()
                 ext = extend_columns(random_matrix(rng, n, 10**12), r)
                 construction._kept_minor_dets(ext.to_rows())
                 assert 1 <= len(calls) <= prefixes, (n, r)
+
+    @pytest.mark.parametrize("n", range(8, 12))
+    def test_walk_order_above_order_7(self, monkeypatch, n):
+        # The walk pushes a node's children in reverse so that they pop, and
+        # append their minors, in combinations order; below the root, every
+        # level with grandchildren relies on it, so orders 8..11 give long
+        # runs of such levels. Entries in -1..1 make zero pivots common, and
+        # column 3 = column 1 - column 2 and column 5 = column 2 make all-zero
+        # pivot vectors, whose minors are appended as one run of zeros, deep
+        # in the tree; wide entries make no zero pivot at all.
+        zero_runs = []
+        comb = construction.comb
+
+        def counted(k, t):
+            zero_runs.append(t)
+            return comb(k, t)
+
+        monkeypatch.setattr(construction, "comb", counted)
+        rng = random.Random(n)
+        for r in (1, 2, 3):
+            m = n + r
+            for bound, dependent in ((1, False), (1, True), (10**15, False)):
+                rows = [[rng.randint(-bound, bound) for _ in range(m)] for _ in range(n)]
+                if dependent:
+                    for row in rows:
+                        row[2], row[4] = row[0] - row[1], row[1]
+                wide = M(rows)
+                assert construction._kept_minor_dets(rows) == [
+                    det_bareiss(select_columns(wide, kept + (m,)))
+                    for kept in combinations(range(1, m), n - 1)], (r, bound, dependent)
+        # A zero run of t more columns is found at a node with n - 1 - t kept.
+        assert min(zero_runs) <= n - 4
+
+    def test_cell_above_order_7(self):
+        rng = random.Random(8)
+        cell = Prop1Cell(8, 2)
+        for bound in (1, 10**6):
+            a = random_matrix(rng, 8, bound)
+            assert cell(a) == [check_prop1(a, 2, d) for d in cell.deletions], bound
 
     @pytest.mark.parametrize("n", range(2, 8))
     def test_det_q_against_build_q(self, n):

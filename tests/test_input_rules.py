@@ -110,7 +110,7 @@ def test_bool_or_float_is_not_an_int(call, error):
     (2.5, "^parameter r must be an int, got 2.5$"),
     (True, "^parameter r must be an int, got True$"),
 ], ids=["zero", "float", "bool"])
-def test_empty_batch_still_validates_r(r, error):
+def test_cell_validates_r_when_made(r, error):
     # A cell validates r when it is made, before any matrix of a batch.
     with pytest.raises(ValueError, match=error):
         Prop1Cell(2, r)

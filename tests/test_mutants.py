@@ -198,3 +198,17 @@ def test_unknown_name_exits_2_before_any_run(fake_runs, capsys):
     assert mutants.main([mutants.MUTANTS[0][0], "no-such-mutant"]) == 2
     assert fake_runs == []
     assert "no-such-mutant" in capsys.readouterr().err
+
+
+def test_walk_order_mutants_are_catalogued():
+    # The walk gives its values in combinations order of the kept columns
+    # and the cell pairs them with its deletions by position: minors not
+    # reversed onto the deletions, children that pop in reverse order, a
+    # run of zeros one minor short and a count check that lets a short walk
+    # through must fail. So must a --trials floor of 0 in the shared floor
+    # table, and a record template made from a case whose keys leave the
+    # CSV columns' order.
+    names = {m[0] for m in mutants.MUTANTS}
+    assert {"walk-minors-not-reversed", "walk-children-pushed-in-order",
+            "walk-zero-subtree-count-short", "walk-count-check-dropped",
+            "shared-floor-trials-zero", "case-layout-guard-dropped"} <= names

@@ -46,8 +46,8 @@ MUTANTS = (
      "[1] * n + [-1] + [0] * r",
      "[1] * n + [0] + [0] * r"),
     ("batch-sign-check-removed", "src/nstepdet/construction.py",
-     "_checked_sign(n, r, deleted, kept), det_qs[deleted])",
-     "_deleted_sign(n, r, deleted), det_qs[deleted])"),
+     "_checked_sign(n, r, deleted, kept), det_q)",
+     "_deleted_sign(n, r, deleted), det_q)"),
     ("kept-complement-keeps-a-deleted-column", "src/nstepdet/construction.py",
      "gone = set(deleted)",
      "gone = set(deleted[1:])"),
@@ -91,17 +91,17 @@ MUTANTS = (
      "for u in vecs], -sign",
      "for u in vecs], sign"),
     ("minor-walk-divisor-one", "src/nstepdet/construction.py",
-     "vecs[pos], pivot[0], sign))",
-     "vecs[pos], 1, sign))"),
+     "vecs[pos], pivot[0], sign, more - 1))",
+     "vecs[pos], 1, sign, more - 1))"),
     ("minor-walk-zero-subtree-one", "src/nstepdet/construction.py",
-     "dets[kept + rest] = 0",
-     "dets[kept + rest] = 1"),
+     "dets += [0] * comb(",
+     "dets += [1] * comb("),
     ("minor-walk-last-row-moved-unsigned", "src/nstepdet/construction.py",
-     "last, 1, (-1) ** (n - 1))]",
-     "last, 1, 1)]"),
+     "last, 1, (-1) ** (n - 1), n - 2)]",
+     "last, 1, 1, n - 2)]"),
     ("minor-walk-leaf-unsigned", "src/nstepdet/construction.py",
-     "dets[kept + (col,)] = sign * u[0]",
-     "dets[kept + (col,)] = u[0]"),
+     "dets += [sign * u[0] for u in vecs]",
+     "dets += [u[0] for u in vecs]"),
     ("walk-fold-swap-sign-kept", "src/nstepdet/construction.py",
      "a, b, s = b, 0, -sign",
      "a, b, s = b, 0, sign"),
@@ -109,14 +109,26 @@ MUTANTS = (
      "divmod(x * a - f * b, p)",
      "divmod(x * a - f * b, prev)"),
     ("walk-fold-zero-subtree-one", "src/nstepdet/construction.py",
-     "dets[prefix + (col,)] = 0",
-     "dets[prefix + (col,)] = 1"),
+     "dets += [0] * len(later)",
+     "dets += [1] * len(later)"),
     ("walk-fold-remainder-check-dropped", "src/nstepdet/construction.py",
      "if rem:\n                        raise",
      "if False:\n                        raise"),
     ("kept-complements-not-reversed", "src/nstepdet/construction.py",
      "kepts = reversed(tuple(combinations(range(1, n + r), n - 1)))",
      "kepts = tuple(combinations(range(1, n + r), n - 1))"),
+    ("walk-minors-not-reversed", "src/nstepdet/construction.py",
+     "minors = reversed(self._walk(",
+     "minors = (self._walk("),
+    ("walk-children-pushed-in-order", "src/nstepdet/construction.py",
+     "for pos in reversed(range(len(vecs) - more)):",
+     "for pos in range(len(vecs) - more):"),
+    ("walk-zero-subtree-count-short", "src/nstepdet/construction.py",
+     "comb(len(vecs), more + 1)",
+     "comb(len(vecs), more)"),
+    ("walk-count-check-dropped", "src/nstepdet/construction.py",
+     "if len(dets) == len(self.deletions):",
+     "if True:"),
     ("seq-decimal-default-precision", "src/nstepdet/cli.py",
      "prec=decimal.MAX_PREC,",
      "prec=28,"),
@@ -213,6 +225,12 @@ MUTANTS = (
     ("early-floor-check-dropped", "src/nstepdet/cli.py",
      "check_at_least(1, r=r, **offsets)",
      "pass"),
+    ("shared-floor-trials-zero", "src/nstepdet/cli.py",
+     '_FLAG_FLOORS = {"trials": 1, "bound": 0}',
+     '_FLAG_FLOORS = {"trials": 0, "bound": 0}'),
+    ("case-layout-guard-dropped", "src/nstepdet/cli.py",
+     "if list(case) != [field for field in _CSV_FIELDS if field in case]:",
+     "if False:"),
     ("points-plan-entry-off-by-one", "src/nstepdet/nstep_seq.py",
      "return powers, rows, den",
      "return powers, ((rows[0][0] + 1,) + rows[0][1:],) + rows[1:], den"),
