@@ -671,7 +671,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--q", help="Vajda offset range")
     p.add_argument("--convention", choices=tuple(_CONVENTIONS) + ("both",),
                    help="seed convention; 'both' probes the two side by side")
-    p.add_argument("--trials", type=int, help="random matrices per cell (gen-docagne)")
+    p.add_argument("--trials", type=int, help="random matrices per cell (gen-docagne); each "
+                   "record is det(a) times the a = I one: a trial rechecks the arithmetic")
     p.add_argument("--bound", type=int,
                    help="entry bound for random matrices (gen-docagne)")
     p.add_argument("--matrix", default=None,
@@ -683,7 +684,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("prop1", help="exhaustive signed-minor product-rule check")
     p.add_argument("--n", help="order range")
     p.add_argument("--r", default="1..4", help="extension length range")
-    p.add_argument("--trials", type=int, help="random matrices per (n, r) cell")
+    p.add_argument("--trials", type=int, help="random matrices per (n, r) cell; each minor "
+                   "is det(a) times the a = I one: a trial rechecks the arithmetic")
     p.add_argument("--bound", type=int, help="entry bound for random matrices")
     p.add_argument("--matrix", default=None,
                    help="check one explicit matrix instead of random ones")

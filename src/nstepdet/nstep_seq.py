@@ -22,19 +22,20 @@ recurrences", SIAM J. Comput. 14(1), 1985). Negative powers use the same
 polynomial, because x^(-1) = x^(n-1) - x^(n-2) - ... - 1 modulo it. So
 every index, negative ones too, is reached by the same jump: ``term_fast``
 uses it for one term, and ``terms_range`` uses it for the first n terms of
-every window, then sweeps forward. ``term_fast`` stops the jump at half
-the index: term k is a quadratic form in x^((k-1)//2), which it evaluates
-as at most n big squares by an exact reduction of the seeds' Hankel form,
-memoized per seed tuple and parity (a bounded cache that holds no term
-value). It reaches x^((k-1)//2) by squaring x^((k-1)//4); once those
-coefficients are big and n >= 3, that square is taken as 2n-1 big squares
-of values at fixed integer points and infinity instead of n(n+1)/2
-(Toom-Cook evaluation and interpolation: one integer matrix per n,
-memoized, and an exact division). The iterative ``term`` stays the
-independent oracle the engine is checked against; the two must agree at
-every index. At k = 10^6 on one core of a shared 2-core x86-64 VM (Python
-3.11, best of 27 calls in nine processes), ``term_fast`` takes 0.043 s for
-n = 2, 0.11 s for n = 3, 0.33 s for n = 6 and 0.83 s for n = 12.
+every window, then sweeps forward. ``term_fast`` stops the jump at a
+quarter of the index: with q, d = divmod(k - 1, 4), term k is a quadratic
+form in x^(2q), which it evaluates as at most n big squares by an exact
+reduction of the seeds' Hankel form, memoized per seed tuple and d in
+0..3 (a bounded cache that holds no term value). It reaches x^(2q) by
+squaring x^q; once those coefficients are big and n >= 3, that square is
+taken as 2n-1 big squares of its values at the integer points 0, +-1,
+..., +-(n-1) instead of n(n+1)/2 (Toom-Cook evaluation and
+interpolation: one integer matrix per n, memoized, and an exact
+division). The iterative ``term`` stays the independent oracle the engine
+is checked against; the two must agree at every index. At k = 10^6 on
+one core of a shared 2-core x86-64 VM (Python 3.11, best of 27 calls in
+nine processes), ``term_fast`` takes 0.040 s for n = 2, 0.095 s for
+n = 3, 0.29 s for n = 6 and 0.78 s for n = 12.
 """
 
 from __future__ import annotations
@@ -42,6 +43,7 @@ from __future__ import annotations
 from collections import deque, namedtuple
 from collections.abc import Iterable
 from functools import lru_cache
+from math import factorial
 from operator import add, mul
 
 from .exact_linalg import RangeError, check_at_least
@@ -255,33 +257,30 @@ _SquarePlan = tuple[tuple[tuple[tuple[int, ...], tuple[int, ...]], ...],
 def _square_plan(n: int) -> _SquarePlan:
     """What ``_square_at_points`` needs at order n, built once per n.
 
-    The 2n-1 points are the consecutive integers -(n-2)..n-1, taken in the
-    order 0, 1, -1, ..., n-2, -(n-2), n-1, and infinity last. ``powers``
-    holds, for t = 1..n-1, the powers of t that w's even and odd
-    coefficients are dotted with: w(+-t) = even +- odd. The square P = w^2,
-    of degree 2n-2, is the Lagrange interpolant of its values: with F the
-    product of (x - t) over the finite points t and N_j = F / (x - t_j),
-    P = P(inf) * F + sum_j P(t_j) * N_j / N_j(t_j). Each |N_j(t_j)| is
-    a! b! with a + b = 2n-3, since the points are consecutive, and divides
-    den = (2n-3)!, so den times that basis is an integer matrix. ``rows``
-    is it folded modulo the characteristic polynomial: row i dotted with the
-    squared values is den times coefficient i of w^2 mod the polynomial.
+    The 2n-1 points are the consecutive integers -(n-1)..n-1, taken in the
+    order 0, 1, -1, ..., n-1, -(n-1). ``powers`` holds, for t = 1..n-1, the
+    powers of t that w's even and odd coefficients are dotted with: w(+-t)
+    = even +- odd. The square P = w^2, of degree 2n-2, is the Lagrange
+    interpolant of its values: with N_j the product of (x - t) over the
+    points t other than t_j, P = sum_j P(t_j) * N_j / N_j(t_j). Each
+    |N_j(t_j)| is a! b! with a + b = 2n-2, since the points are
+    consecutive, and divides den = (2n-2)!, so den times that basis is an
+    integer matrix. ``rows`` is it folded modulo the characteristic
+    polynomial: row i dotted with the squared values is den times
+    coefficient i of w^2 mod the polynomial.
 
     A pure function of n that holds no term value, memoized like
     ``_hankel_squares``.
     """
-    finite = [0] + [s * t for t in range(1, n - 1) for s in (1, -1)] + [n - 1]
+    points = [0] + [s * t for t in range(1, n) for s in (1, -1)]
     powers = tuple((tuple(t ** i for i in range(0, n, 2)),
                     tuple(t ** i for i in range(1, n, 2))) for t in range(1, n))
-    den = 1
-    for i in range(2, 2 * n - 2):
-        den *= i
+    den = factorial(2 * n - 2)
     basis = []
-    for t in finite:
-        poly = _from_roots([s for s in finite if s != t])
+    for t in points:
+        poly = _from_roots([s for s in points if s != t])
         scale = _exact_div(den, sum(a * t ** i for i, a in enumerate(poly)))
-        basis.append([scale * a for a in poly] + [0])
-    basis.append([den * a for a in _from_roots(finite)])
+        basis.append([scale * a for a in poly])
     x_to = [[1] + [0] * (n - 1)]  # x^j modulo the characteristic polynomial
     for _ in range(2 * n - 2):
         x_to.append(_times_x(x_to[-1]))
@@ -302,7 +301,6 @@ def _square_at_points(w: list[int]) -> list[int]:
     for even_powers, odd_powers in powers:
         e, o = sum(map(mul, even_powers, even)), sum(map(mul, odd_powers, odd))
         values += (e + o, e - o)
-    values[-1] = w[-1]  # n-1 is taken alone, so infinity takes -(n-1)'s place
     squares = [v * v for v in values]
     return [_exact_div(sum(map(mul, row, squares)), den) for row in rows]
 
@@ -326,9 +324,10 @@ def _hankel_squares(seeds: tuple[int, ...], d: int) -> _Steps:
     2 * M_ij. Each step lowers the rank by one, so there are at most n
     steps; the last leaves M zero.
 
-    A pure function of the seeds and d that holds no term value, so it is
-    memoized: at n = 12 it costs hundreds of microseconds, more than a warm
-    ``term_fast`` at a small k.
+    A pure function of the seeds and d, which ``term_fast`` takes in 0..3,
+    that holds no term value, so it is memoized per seed tuple and d: at
+    n = 12 it costs hundreds of microseconds, more than a warm ``term_fast``
+    at a small k.
     """
     n = len(seeds)
     terms = sweep(seeds, n - 1 + d)[d:]
@@ -372,26 +371,23 @@ _POINTS_FROM_BITS = 3000
 def term_fast(n: int, conv: Convention, k: int) -> int:
     """Term ``k`` (any integer) by polynomial reduction (Fiduccia's method).
 
-    With u = (k-1) // 2 (floor division, so also for k < 1), d = k-1-2u
-    and c = x^u mod the characteristic polynomial, x^(k-1) = c^2 x^d, so
-    term k = sum_ij c_i c_j term(i+j+1+d) = c'H_d c, H_d being the Hankel
-    matrix of terms 1+d..2n-1+d. The last doubling step evaluates that
-    form as at most n big squares instead of a full polynomial square or
-    n products of two different big numbers; the reduction behind the
-    squares (``_hankel_squares``) is computed once per seed tuple and d and
-    then taken from a bounded cache. The step before it, c = w^2 x^(u & 1)
-    with w = x^(u >> 1), squares w at 2n-1 points (``_square_at_points``)
-    once w's coefficients pass ``_POINTS_FROM_BITS`` and n >= 3, where that
-    takes fewer big squares than ``_square``. Exactly equals
-    ``term(n, conv, k)``; cost grows with log |k| rather than |k|
-    (big-integer arithmetic aside).
+    With q, d = divmod(k - 1, 4) (floor division, so also for k < 1), w =
+    x^q and c = w^2 mod the characteristic polynomial, x^(k-1) = c^2 x^d,
+    so term k = sum_ij c_i c_j term(i+j+1+d) = c'H_d c, H_d being the
+    Hankel matrix of terms 1+d..2n-1+d. The last doubling step evaluates
+    that form as at most n big squares instead of a full polynomial square
+    or n products of two different big numbers; the reduction behind the
+    squares (``_hankel_squares``) is computed once per seed tuple and d in
+    0..3 and then taken from a bounded cache. The step before it squares w
+    at 2n-1 points (``_square_at_points``) once w's coefficients pass
+    ``_POINTS_FROM_BITS`` and n >= 3, where that takes fewer big squares
+    than ``_square``. Exactly equals ``term(n, conv, k)``; cost grows with
+    log |k| rather than |k| (big-integer arithmetic aside).
     """
     seeds = seed_block(n, conv)
     _check_term_indices(k)
-    u = (k - 1) // 2
-    w = _x_pow(n, u >> 1)
+    q, d = divmod(k - 1, 4)
+    w = _x_pow(n, q)
     c = (_square_at_points(w) if n > 2 and w[-1].bit_length() > _POINTS_FROM_BITS
          else _square(w))
-    if u & 1:
-        c = _times_x(c)
-    return _hankel_value(_hankel_squares(seeds, k - 1 - 2 * u), c)
+    return _hankel_value(_hankel_squares(seeds, d), c)

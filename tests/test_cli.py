@@ -6,6 +6,7 @@ import io
 import itertools
 import json
 import math
+import os
 import re
 import subprocess
 import sys
@@ -280,7 +281,7 @@ class TestSeq:
         _, _, expected = run_json(capsys, *argv)
         src = str(Path(nstepdet.__file__).resolve().parents[1])
         proc = subprocess.run([sys.executable, "-O", "-m", "nstepdet.cli", *argv],
-                              env={"PYTHONPATH": src}, capture_output=True,
+                              env={**os.environ, "PYTHONPATH": src}, capture_output=True,
                               text=True, timeout=60)
         assert proc.returncode == EXIT_OK, proc.stderr
         assert proc.stdout == expected

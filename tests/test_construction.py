@@ -1,9 +1,11 @@
 import json
+import os
 import random
 import subprocess
 import sys
 import textwrap
 from itertools import combinations
+from operator import mul
 from pathlib import Path
 
 import pytest
@@ -21,7 +23,7 @@ from nstepdet.exact_linalg import (
     det_laplace,
     select_columns,
 )
-from nstepdet.nstep_seq import PAPER_POWERS, term
+from nstepdet.nstep_seq import PAPER_POWERS, _x_pow, term
 from nstepdet.construction import (
     Prop1Cell,
     Prop1Record,
@@ -43,7 +45,7 @@ def run_child(code, *interpreter_flags):
     """Run ``code`` in a fresh interpreter that imports this package."""
     src = str(Path(nstepdet.__file__).resolve().parents[1])
     return subprocess.run([sys.executable, *interpreter_flags, "-c", code],
-                          env={"PYTHONPATH": src}, capture_output=True,
+                          env={**os.environ, "PYTHONPATH": src}, capture_output=True,
                           text=True, timeout=60)
 
 
@@ -146,6 +148,23 @@ class TestExtendColumns:
                 sum(vals) for vals in zip(
                     *(ext.column(k - j) for j in range(1, n + 1))))
             assert ext.column(k) == total
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data(), n=st.integers(2, 8), r=st.integers(1, 12))
+    def test_extension_is_a_times_the_identity_extension(self, data, n, r):
+        # Each row is the recurrence seeded by that row, which is linear, so
+        # a's extension is a E, E the identity's extension; and column k of
+        # E is x^(k-1) modulo the characteristic polynomial. The sweep and
+        # the polynomial jump check each other here. Entries from -3..3 let
+        # singular a, the zero matrix too, come up.
+        entries = st.lists(st.integers(-3, 3), min_size=n, max_size=n)
+        a = M(data.draw(st.lists(entries, min_size=n, max_size=n)))
+        e = extend_columns(IntMatrix.identity(n), r)
+        columns = [e.column(k) for k in range(1, n + r + 1)]
+        assert extend_columns(a, r) == M([[sum(map(mul, a.row(i), col)) for col in columns]
+                                          for i in range(1, n + 1)])
+        for k, col in enumerate(columns, 1):
+            assert col == tuple(_x_pow(n, k - 1)), k
 
     def test_non_square_rejected(self):
         with pytest.raises(DimensionError):

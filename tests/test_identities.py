@@ -207,9 +207,9 @@ class TestGeneralizedDOcagne:
 
     @pytest.mark.parametrize("n", [3, 6])
     def test_record_equals_the_one_built_with_term_at_large_r(self, n):
-        # At this r term_fast squares x^(u >> 1) at points.
+        # At this r term_fast squares x^((r-1)//4) at points.
         r = 14_400
-        assert _x_pow(n, (r - 1) // 2 >> 1)[-1].bit_length() > _POINTS_FROM_BITS
+        assert _x_pow(n, (r - 1) // 4)[-1].bit_length() > _POINTS_FROM_BITS
         a = random_matrix(random.Random(n), n, 9)
         assert generalized_docagne(a, r) == self._record_by_walk(a, r)
 

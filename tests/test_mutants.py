@@ -78,7 +78,7 @@ def test_guard_mutants_are_catalogued():
 
 def test_hankel_squares_mutants_are_catalogued():
     # term_fast's last step reduces the Hankel form of terms 1+d..2n-1+d:
-    # a form that ignores the parity offset d, a hyperbolic pair step with
+    # a form that ignores the offset d, a hyperbolic pair step with
     # the wrong sign, a nested division without the previous pivot, and a
     # division whose remainder goes unchecked must fail.
     names = {m[0] for m in mutants.MUTANTS}
@@ -142,14 +142,14 @@ def test_cell_and_floor_mutants_are_catalogued():
 
 
 def test_point_square_mutants_are_catalogued():
-    # term_fast squares x^(u >> 1) at 2n-1 points once its coefficients are
-    # big: a plan entry off by one, an odd u without its shift by x, an
-    # interpolation whose remainder goes unchecked and infinity's value
-    # taken from another coefficient must fail, and so must gen-docagne's
-    # right side, now from term_fast, at r - 1.
+    # term_fast squares x^((k-1)//4) at 2n-1 points once its coefficients
+    # are big: a plan entry off by one, the Hankel form of (k-1) mod 2 taken
+    # for (k-1) mod 4, an interpolation whose remainder goes unchecked and
+    # w's values at -1..-(n-1) without their odd part must fail, and so must
+    # gen-docagne's right side, now from term_fast, at r - 1.
     names = {m[0] for m in mutants.MUTANTS}
-    assert {"points-plan-entry-off-by-one", "points-odd-shift-dropped",
-            "points-remainder-check-dropped", "points-infinity-takes-a-finite-value",
+    assert {"points-plan-entry-off-by-one", "hankel-residue-taken-mod-two",
+            "points-remainder-check-dropped", "points-negative-values-lose-odd-part",
             "gen-docagne-rhs-at-r-minus-one"} <= names
 
 

@@ -210,7 +210,7 @@ class TestHankelSquares:
         return sum(x[i] * x[j] * terms[i + j] for i in range(n) for j in range(n))
 
     @pytest.mark.parametrize("seeds", SEEDS, ids=str)
-    @pytest.mark.parametrize("d", [0, 1])
+    @pytest.mark.parametrize("d", range(4))
     def test_nested_squares_equal_the_form(self, seeds, d):
         rng = Random(f"{seeds}/{d}")
         steps = _hankel_squares(seeds, d)
@@ -227,7 +227,7 @@ class TestHankelSquares:
         assert steps[1] == ((0, 8, 8), -2, 16)
 
     def test_zero_seeds_give_no_steps(self):
-        for d in (0, 1):
+        for d in range(4):
             assert _hankel_squares((0, 0, 0), d) == ()
             assert term_fast(3, custom([0, 0, 0]), 1000 + d) == 0
 
@@ -237,7 +237,7 @@ class TestHankelSquares:
         # so the reduction takes as many squares as H_d's rank.
         sympy = pytest.importorskip("sympy")
         n = len(seeds)
-        for d in (0, 1):
+        for d in range(4):
             terms = sweep(seeds, n - 1 + d)[d:]
             rank = sympy.Matrix(n, n, lambda i, j: terms[i + j]).rank()
             assert len(_hankel_squares(seeds, d)) == rank
@@ -249,7 +249,7 @@ class TestHankelSquares:
 
 
 class TestSquareAtPoints:
-    """term_fast squares x^(u >> 1) by its values at 2n-1 points, mapped
+    """term_fast squares x^((k-1)//4) by its values at 2n-1 points, mapped
     back by one integer matrix and an exact division, once the coefficients
     are big; ``_square`` is the oracle."""
 
@@ -266,10 +266,11 @@ class TestSquareAtPoints:
             assert _square_at_points(w) == _square(w), e
 
     def test_n_two_takes_the_three_squares_of_square(self):
-        # The points 0, 1 and infinity give c0^2, (c0 + c1)^2 and c1^2, the
-        # squares ``_square`` takes, and a denominator of 1. With x^2 = x + 1
-        # the square is (c0^2 + c1^2) + ((c0 + c1)^2 - c0^2) x.
-        assert _square_plan(2) == ((((1,), (1,)),), ((1, 0, 1), (-1, 1, 0)), 1)
+        # The points 0, 1 and -1 give c0^2, (c0 + c1)^2 and (c0 - c1)^2, as
+        # many squares as ``_square`` takes, and a denominator of 2! = 2. With
+        # x^2 = x + 1, twice the square is ((c0 + c1)^2 + (c0 - c1)^2) +
+        # (2 (c0 + c1)^2 - 2 c0^2) x.
+        assert _square_plan(2) == ((((1,), (1,)),), ((0, 1, 1), (-2, 2, 0)), 2)
 
     @pytest.mark.parametrize("n", [3, 6, 12])
     def test_a_plan_entry_off_by_one_raises(self, n, monkeypatch):
@@ -287,10 +288,10 @@ class TestSquareAtPoints:
     @pytest.mark.parametrize("n, first", [
         (3, 14_200), (6, 12_300), (12, 12_300), (3, -28_100), (6, -48_000)])
     def test_term_fast_matches_term_where_it_squares_at_points(self, n, first):
-        # Four consecutive k take every residue of k-1 mod 4: both parities
-        # of u, so with and without the shift by x, and both Hankel forms.
+        # Four consecutive k take every residue d of k-1 mod 4, so all four
+        # Hankel forms H_d.
         for k in range(first, first + 4):
-            assert _x_pow(n, (k - 1) // 2 >> 1)[-1].bit_length() > _POINTS_FROM_BITS
+            assert _x_pow(n, (k - 1) // 4)[-1].bit_length() > _POINTS_FROM_BITS
             for conv in (CLASSIC, custom(range(-2, n - 2))):
                 assert term_fast(n, conv, k) == term(n, conv, k), (n, k)
 
@@ -306,9 +307,9 @@ class TestEngineProperties:
            k=st.integers(-3000, 3000))
     def test_term_fast_matches_term_small_seeds(self, seeds, k):
         # Seeds from -2..2 make singular and degenerate Hankel forms common;
-        # k and k + 1 cover both parities of the last doubling.
+        # k..k+3 take every residue of k-1 mod 4, so all four Hankel forms.
         conv = custom(seeds)
-        for index in (k, k + 1):
+        for index in range(k, k + 4):
             assert term_fast(len(seeds), conv, index) == term(len(seeds), conv, index)
 
     @given(seq=st.integers(2, 12).flatmap(lambda n: st.tuples(st.just(n), _conventions(n))),

@@ -5,6 +5,7 @@ needs neither ``dataclasses`` nor ``typing``, whose imports would cost a
 third of a CLI launch."""
 
 import copy
+import os
 import pickle
 import subprocess
 import sys
@@ -36,7 +37,8 @@ def test_import_loads_neither_dataclasses_nor_typing(module):
     src = str(Path(nstepdet.__file__).resolve().parents[1])
     code = (f"import sys, {module}; "
             "print(sorted({'dataclasses', 'typing', 'inspect'} & set(sys.modules)))")
-    proc = subprocess.run([sys.executable, "-S", "-c", code], env={"PYTHONPATH": src},
+    proc = subprocess.run([sys.executable, "-S", "-c", code],
+                          env={**os.environ, "PYTHONPATH": src},
                           capture_output=True, text=True, timeout=60)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == "[]\n"

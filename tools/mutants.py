@@ -234,15 +234,15 @@ MUTANTS = (
     ("points-plan-entry-off-by-one", "src/nstepdet/nstep_seq.py",
      "return powers, rows, den",
      "return powers, ((rows[0][0] + 1,) + rows[0][1:],) + rows[1:], den"),
-    ("points-odd-shift-dropped", "src/nstepdet/nstep_seq.py",
-     "if u & 1:",
-     "if False:"),
+    ("hankel-residue-taken-mod-two", "src/nstepdet/nstep_seq.py",
+     "_hankel_squares(seeds, d)",
+     "_hankel_squares(seeds, d % 2)"),
     ("points-remainder-check-dropped", "src/nstepdet/nstep_seq.py",
      "_exact_div(sum(map(mul, row, squares)), den)",
      "sum(map(mul, row, squares)) // den"),
-    ("points-infinity-takes-a-finite-value", "src/nstepdet/nstep_seq.py",
-     "values[-1] = w[-1]",
-     "values[-1] = w[-2]"),
+    ("points-negative-values-lose-odd-part", "src/nstepdet/nstep_seq.py",
+     "values += (e + o, e - o)",
+     "values += (e + o, e)"),
     ("gen-docagne-rhs-at-r-minus-one", "src/nstepdet/identities.py",
      "term_fast(n, PAPER_POWERS, r)",
      "term_fast(n, PAPER_POWERS, r - 1)"),
