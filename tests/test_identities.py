@@ -1,6 +1,8 @@
 import hashlib
 import json
 import random
+import tracemalloc
+from operator import mul
 
 import pytest
 from hypothesis import given, strategies as st
@@ -19,6 +21,7 @@ from nstepdet.exact_linalg import (
 from nstepdet.construction import extend_columns
 from nstepdet.nstep_seq import CLASSIC, PAPER_POWERS, _POINTS_FROM_BITS, _x_pow, custom, term
 from nstepdet.identities import (
+    _far_column,
     CASSINI,
     GEN_DOCAGNE,
     IdentityCase,
@@ -199,11 +202,53 @@ class TestGeneralizedDOcagne:
             IdentityCase(GEN_DOCAGNE, n, r, convention=PAPER_POWERS.name),
             det_bareiss(_extend_last(a, r)), term(n, PAPER_POWERS, r) * det_bareiss(a))
 
-    @given(data=st.data(), n=st.integers(2, 6), r=st.integers(1, 400))
+    @staticmethod
+    def _draw_matrix(data, n):
+        # Entries of one digit or up to 10^15, and singular matrices made by
+        # a zero row, two equal rows, or a row that is the sum of two others
+        # (twice another at n = 2).
+        bound = data.draw(st.sampled_from([9, 10**15]))
+        entries = st.lists(st.integers(-bound, bound), min_size=n, max_size=n)
+        rows = data.draw(st.lists(entries, min_size=n, max_size=n))
+        order = data.draw(st.permutations(range(n)))
+        i, j, k = order[0], order[1], order[-1]
+        fault = data.draw(st.sampled_from(["none", "zero", "equal", "sum"]))
+        if fault == "zero":
+            rows[i] = [0] * n
+        elif fault == "equal":
+            rows[i] = rows[j]
+        elif fault == "sum":
+            rows[i] = [x + y for x, y in zip(rows[j], rows[k])]
+        return M(rows)
+
+    @given(data=st.data(), n=st.integers(2, 12), r=st.integers(1, 400))
     def test_record_equals_the_one_built_with_term(self, data, n, r):
-        entries = st.lists(st.integers(-9, 9), min_size=n, max_size=n)
-        a = M(data.draw(st.lists(entries, min_size=n, max_size=n)))
+        a = self._draw_matrix(data, n)
         assert generalized_docagne(a, r) == self._record_by_walk(a, r)
+
+    @given(data=st.data(), n=st.integers(2, 12), r=st.integers(1, 300))
+    def test_far_column_is_the_extensions_column(self, data, n, r):
+        # The extension stays the oracle for the jump: the column appended
+        # to the jumped window is column n+r of I_n's extension, and a times
+        # it is column n+r of a's.
+        v = _far_column(n, r)
+        assert v == extend_columns(IntMatrix.identity(n), r).column(n + r)
+        a = self._draw_matrix(data, n)
+        assert (tuple(sum(map(mul, row, v)) for row in a.to_rows())
+                == extend_columns(a, r).column(n + r))
+
+    @pytest.mark.parametrize("n", [2, 6])
+    def test_minor_does_not_build_the_extension(self, n):
+        # The n x (n+r) extension at this r takes 37 MiB at n = 2 and 156 MiB
+        # at n = 6; the minor needs none of it.
+        a = random_matrix(random.Random(n), n, 9)
+        tracemalloc.start()
+        try:
+            assert generalized_docagne(a, 20_000).passed
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * 2**20
 
     @pytest.mark.parametrize("n", [3, 6])
     def test_record_equals_the_one_built_with_term_at_large_r(self, n):

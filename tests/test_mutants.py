@@ -153,6 +153,18 @@ def test_point_square_mutants_are_catalogued():
             "gen-docagne-rhs-at-r-minus-one"} <= names
 
 
+def test_gen_docagne_jump_mutants_are_catalogued():
+    # gen-docagne's minor takes column n+r from one jump to x^(r-1), n-1
+    # shifts and one extension step: a jump to x^r, the window's last column
+    # selected instead of the appended one and a's rows dotted with v one row
+    # off must fail. So must an x^e whose start reads a leading m of n, and
+    # one that puts the start's unit one place up.
+    names = {m[0] for m in mutants.MUTANTS}
+    assert {"far-column-jump-at-r", "far-column-selects-the-window-end",
+            "far-column-dotted-with-the-next-row", "x-pow-start-reaches-n",
+            "x-pow-start-unit-one-up"} <= names
+
+
 def test_walk_fold_mutants_are_catalogued():
     # A node with two columns left to keep does each child's last step in
     # place: a swap that keeps the sign, a step divided by the previous

@@ -16,6 +16,8 @@ from nstepdet.nstep_seq import (
     _square,
     _square_at_points,
     _square_plan,
+    _times_x,
+    _times_x_inv,
     _x_pow,
     custom,
     seed_block,
@@ -189,6 +191,20 @@ class TestTermFast:
             for conv in ALL_CONVENTIONS + (custom(range(-2, n - 2)),):
                 for k in range(-60, 1):
                     assert term_fast(n, conv, k) == term(n, conv, k), (n, k)
+
+
+class TestXPow:
+    """x^e modulo the characteristic polynomial by square-and-shift, which
+    starts at x^m for e > 0, m being e's leading bits read below n; e shifts
+    of the unit vector are the oracle."""
+
+    @pytest.mark.parametrize("n", range(2, 13))
+    def test_equals_repeated_shifts(self, n):
+        for shift, sign in ((_times_x, 1), (_times_x_inv, -1)):
+            c = [1] + [0] * (n - 1)
+            for e in range(301):
+                assert _x_pow(n, sign * e) == c, sign * e
+                c = shift(c)
 
 
 class TestHankelSquares:

@@ -246,6 +246,22 @@ MUTANTS = (
     ("gen-docagne-rhs-at-r-minus-one", "src/nstepdet/identities.py",
      "term_fast(n, PAPER_POWERS, r)",
      "term_fast(n, PAPER_POWERS, r - 1)"),
+    ("far-column-jump-at-r", "src/nstepdet/identities.py",
+     "window = [_x_pow(n, r - 1)]",
+     "window = [_x_pow(n, r)]"),
+    ("far-column-selects-the-window-end", "src/nstepdet/identities.py",
+     "[n + 1]).entries",
+     "[n]).entries"),
+    ("far-column-dotted-with-the-next-row", "src/nstepdet/identities.py",
+     "[row[:-1] + [sum(map(mul, row, v))] for row in a.to_rows()]",
+     "[row[:-1] + [sum(map(mul, other, v))]"
+     " for row, other in zip(a.to_rows(), a.to_rows()[1:] + a.to_rows()[:1])]"),
+    ("x-pow-start-reaches-n", "src/nstepdet/nstep_seq.py",
+     "if e >> (size - lead) >= n:",
+     "if e >> (size - lead) > n:"),
+    ("x-pow-start-unit-one-up", "src/nstepdet/nstep_seq.py",
+     "c[e >> (size - lead)] = 1",
+     "c[((e >> (size - lead)) + 1) % n] = 1"),
 )
 
 _SKIP = shutil.ignore_patterns(
